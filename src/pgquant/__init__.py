@@ -44,6 +44,7 @@ from .quantization import (
     hermiticity_residual,
     ladder,
     ladder_dag,
+    mode_table,
     number_operator,
     operator_from_dict,
     operator_to_dict,
@@ -97,6 +98,7 @@ __all__ = [
     "ladder_dag",
     "lower_symbol",
     "lower_symbol_by_pairing",
+    "mode_table",
     "moyal_star",
     "multiply",
     "multiply_prescription",

@@ -23,6 +23,7 @@ Two distinct reorderings coexist and must never be conflated:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +31,6 @@ from functools import lru_cache
 from .qnum import Deformation, qfactorial
 
 __all__ = [
-    "PRUNE_THRESHOLD",
     "FactorWord",
     "ParaPoly",
     "canonicalize_q",
@@ -48,10 +48,6 @@ __all__ = [
     "poly_to_dict",
     "poly_from_dict",
 ]
-
-# Coefficients with modulus below this are dropped after every arithmetic op.
-PRUNE_THRESHOLD = 1e-14
-
 
 @dataclass(frozen=True)
 class FactorWord:
@@ -105,7 +101,10 @@ class ParaPoly:
     of exponents, each in ``0..kprime-1`` -- to complex coefficients.  The
     key encodes the canonical word theta_1^a1 .. theta_d^ad bartheta_1^b1 ..
     bartheta_d^bd.  Treat ``terms`` as read-only; all operations return new
-    polynomials and prune coefficients below ``PRUNE_THRESHOLD``.
+    polynomials.  Exact zeros are dropped and every other coefficient is
+    kept, however small: a tiny upper-symbol coefficient can still multiply
+    a matrix entry of order [k'-1]!.  A non-finite coefficient raises
+    ``ValueError``.
     """
 
     __slots__ = ("dfm", "d", "terms")
@@ -124,7 +123,9 @@ class ParaPoly:
             if any(not 0 <= p < dfm.kprime for p in theta + bar):
                 raise ValueError(f"exponents must lie in 0..{dfm.kprime - 1}: {(theta, bar)}")
             c = complex(c)
-            if abs(c) > PRUNE_THRESHOLD:
+            if c != 0:
+                if not cmath.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c} at {(theta, bar)}")
                 cleaned[(theta, bar)] = c
         self.terms = cleaned
 

@@ -183,6 +183,13 @@ def _cmd_demo(args) -> int:
     return _emit_report(report, args.format)
 
 
+def _trial_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_k(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--k", type=int, required=required,
                    help="deformation order (even, >= 4); nilpotency order is k/2")
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_k(p)
     _add_modes(p)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--trials", type=int, default=20,
+    p.add_argument("--trials", type=_trial_count, default=20,
                    help="random instances for the sampled checks")
     p.set_defaults(handler=_cmd_verify)
 
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", parents=[common], help="worked examples")
     p.add_argument("name", choices=("quaternion",))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(handler=_cmd_demo)
 

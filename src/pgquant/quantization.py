@@ -5,13 +5,18 @@ complex matrix acting on the finite Fock space spanned by
 ``|n_1 .. n_d>`` with each occupation in ``0..kprime-1``.  Basis order is
 row-major with ``n_1`` most significant, so ``dim = kprime**d``.
 
-Three operator orderings are supported when sandwiching a symbol between
-coherent-state projectors:
+Entry (n, m) of the quantization of f integrates the coherent-state
+kernel ket_n * f * weight * bra_m.  The kernel factorizes over the modes,
+so one cached single-mode table T = ``mode_table(dfm)``, filled once from
+that kernel, gives every matrix: the term c theta^s bartheta^t sends |n>
+to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
+orderings differ only by a phase q_k^e on that amplitude:
 
-* antinormal -- the symbol and the weight are merged by the phase-free
-  prescription together with the coherent-state components;
-* left / right -- the symbol is placed before / after the weight and the
-  whole kernel is reduced with genuine q-phases (algebra multiplication).
+* antinormal -- the kernel is merged by the phase-free prescription, e = 0;
+* left / right -- the kernel is the algebra product of the words ket_n, f,
+  w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
+  completing the top degree; e sums the canonical-product phases of all
+  ordered pairs of words.
 
 Everything asserted about the resulting operators is checked numerically
 by the ``verify_*``/``check_*`` functions, which return a
@@ -31,9 +36,7 @@ import numpy as np
 
 from .algebra import (
     ParaPoly,
-    berezin_full_integral,
     berezin_prescription_product,
-    multiply,
     multiply_prescription,
     random_poly,
     weight,
@@ -49,6 +52,7 @@ __all__ = [
     "coherent_ket",
     "coherent_bra",
     "resolution_of_unity",
+    "mode_table",
     "quantize",
     "ladder",
     "ladder_dag",
@@ -167,31 +171,27 @@ class CoherentKet:
     components: tuple[ParaPoly, ...]
 
 
+def _coherent_family(dfm: Deformation, modes: int, barred: bool) -> CoherentKet:
+    zeros = (0,) * modes
+    comps = []
+    for ns in basis_tuples(dfm, modes):
+        scale = 1.0 / math.sqrt(math.prod(qfactorial(n, dfm) for n in ns))
+        theta, bar = (zeros, ns) if barred else (ns, zeros)
+        comps.append(ParaPoly.monomial(dfm, modes, theta, bar, scale))
+    return CoherentKet(dfm, modes, tuple(comps))
+
+
 @lru_cache(maxsize=None)
 def coherent_ket(dfm: Deformation, modes: int = 1) -> CoherentKet:
     """Ket components: theta_1^n1 .. theta_d^nd / sqrt([n_1]! .. [n_d]!)."""
-    comps = []
-    zeros = (0,) * modes
-    for ns in basis_tuples(dfm, modes):
-        norm = 1.0
-        for n in ns:
-            norm *= qfactorial(n, dfm)
-        comps.append(ParaPoly.monomial(dfm, modes, ns, zeros, 1.0 / math.sqrt(norm)))
-    return CoherentKet(dfm, modes, tuple(comps))
+    return _coherent_family(dfm, modes, barred=False)
 
 
 @lru_cache(maxsize=None)
 def coherent_bra(dfm: Deformation, modes: int = 1) -> CoherentKet:
     """Bra components: the barred counterparts, bartheta_1^n1 .. bartheta_d^nd
     over the same normalization, written directly in canonical order."""
-    comps = []
-    zeros = (0,) * modes
-    for ns in basis_tuples(dfm, modes):
-        norm = 1.0
-        for n in ns:
-            norm *= qfactorial(n, dfm)
-        comps.append(ParaPoly.monomial(dfm, modes, zeros, ns, 1.0 / math.sqrt(norm)))
-    return CoherentKet(dfm, modes, tuple(comps))
+    return _coherent_family(dfm, modes, barred=True)
 
 
 def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
@@ -214,6 +214,48 @@ def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
     return FockOperator(dfm, modes, out)
 
 
+@lru_cache(maxsize=None)
+def mode_table(dfm: Deformation) -> np.ndarray:
+    """Single-mode quantization table, cached per deformation (read-only).
+
+    ``T[s, t, n]`` is entry (n, n + s - t) of the antinormal quantization
+    of theta^s bartheta^t: the prescription integral of ket_n * theta^s
+    bartheta^t against weight * bra_(n+s-t).  It is zero where
+    ``n + s >= kprime`` or ``n + s < t``, the entries the kernel cannot
+    reach, and ``[n+s]! / sqrt([n]! [n+s-t]!)`` elsewhere.
+    """
+    kp = dfm.kprime
+    ket = coherent_ket(dfm, 1).components
+    cols = [multiply_prescription(weight(dfm, 1), comp) for comp in coherent_bra(dfm, 1).components]
+    table = np.zeros((kp, kp, kp), dtype=complex)
+    for s, t, n in itertools.product(range(kp), repeat=3):
+        if n + s < kp and n + s >= t:
+            row = multiply_prescription(ket[n], ParaPoly.monomial(dfm, 1, (s,), (t,)))
+            table[s, t, n] = berezin_prescription_product(row, cols[n + s - t])
+    table.setflags(write=False)
+    return table
+
+
+def _product_phase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exponent e of x^a x^b = q_k^e x^(a + b) for canonical monomials given
+    as exponent rows ``(theta_1..theta_d, bar_1..bar_d)``: sorting the joined
+    words moves a left theta_i past a right theta_j, i > j (q_k^-1 each); a
+    left bartheta_i past a right theta_j (q_k^-1 if i <= j, else q_k); and
+    a left bartheta_i past a right bartheta_j, i > j (q_k^-1)."""
+    d = x.shape[-1] // 2
+    later = np.tril(np.ones((d, d), dtype=np.int64), -1)  # later[i, j] = 1 when i > j
+    (a1, b1), (a2, b2) = np.split(x, 2, axis=-1), np.split(y, 2, axis=-1)
+    return (
+        -np.einsum("pi,ij,pj->p", a1, later, a2)
+        + np.einsum("pi,ij,pj->p", b1, 2 * later - 1, a2)
+        - np.einsum("pi,ij,pj->p", b1, later, b2)
+    )
+
+
+# Upper bound on (term, basis state) pairs gathered at once by ``quantize``.
+_PAIRS_PER_BLOCK = 1 << 16
+
+
 def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> FockOperator:
     """Map a polynomial symbol to its matrix by coherent-state sandwiching.
 
@@ -222,30 +264,54 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     prescription.  For ``left``/``right`` the symbol is kept to the left /
     right of the weight and the kernel is reduced with genuine q-phases,
     so the three orderings generally quantize the same symbol differently.
+    Every entry is read from ``mode_table``; see the module docstring.
     """
     if isinstance(ordering, str):
         ordering = Ordering(ordering)
-    dfm, d = f.dfm, f.d
-    ket = coherent_ket(dfm, d)
-    bra = coherent_bra(dfm, d)
-    w = weight(dfm, d)
-    dim = dfm.kprime**d
-    out = np.zeros((dim, dim), dtype=complex)
-    if ordering is Ordering.ANTINORMAL:
-        rows = [multiply_prescription(comp, f) for comp in ket.components]
-        cols = [multiply_prescription(w, comp) for comp in bra.components]
-        for n, row in enumerate(rows):
-            for m, col in enumerate(cols):
-                out[n, m] = berezin_prescription_product(row, col)
-    else:
-        for n, kcomp in enumerate(ket.components):
-            if ordering is Ordering.LEFT:
-                row = multiply(multiply(kcomp, f), w)
-            else:
-                row = multiply(multiply(kcomp, w), f)
-            for m, bcomp in enumerate(bra.components):
-                out[n, m] = berezin_full_integral(multiply(row, bcomp))
-    return FockOperator(dfm, d, out)
+    dfm, d, kp = f.dfm, f.d, f.dfm.kprime
+    dim = kp**d
+    table = mode_table(dfm).ravel()
+    states = np.array(basis_tuples(dfm, d), dtype=np.int64)
+    place = kp ** np.arange(d - 1, -1, -1)
+    coeffs = np.array(list(f.terms.values()), dtype=complex)
+    expo = np.fromiter(itertools.chain.from_iterable(a + b for a, b in f.terms), np.int64, 2 * d * len(coeffs))
+    theta, bar = expo.reshape(-1, 2, d).transpose(1, 0, 2)
+    flat = np.zeros(dim * dim, dtype=complex)
+    block = max(1, _PAIRS_PER_BLOCK // dim)
+    for lo in range(0, len(coeffs), block):
+        s, t = theta[lo:lo + block], bar[lo:lo + block]
+        amp = np.ones((len(s), dim), dtype=complex)
+        for i, st in enumerate(((s * kp + t) * kp).T):  # T[s_i, t_i, n_i], mode by mode
+            amp *= table[st[:, None] + states[:, i]]
+        term, row = np.nonzero(amp)
+        index = row * (dim + 1) + ((s - t) @ place)[term]
+        vals = coeffs[lo + term] * amp[term, row]
+        if ordering is not Ordering.ANTINORMAL:
+            n, s, t = states[row], s[term], t[term]
+            none = np.zeros_like(n)
+            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
+            w = np.tile(kp - 1 - n - s, 2)
+            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
+            e = sum(_product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+            vals = vals * np.exp(2j * np.pi * (e % kp) / kp)
+        flat += np.bincount(index, vals.real, dim * dim) + 1j * np.bincount(index, vals.imag, dim * dim)
+    return FockOperator(dfm, d, flat.reshape(dim, dim))
+
+
+def _shift_matrix(dfm: Deformation, modes: int, mode: int, raising: bool) -> np.ndarray:
+    """sqrt([n+1]) linking |.. n ..> and |.. n+1 ..> in the given mode, at
+    (lower state, upper state), or transposed when ``raising``."""
+    if not 1 <= mode <= modes:
+        raise ValueError(f"mode {mode} out of range 1..{modes}")
+    kp = dfm.kprime
+    out = np.zeros((kp**modes, kp**modes), dtype=complex)
+    for ns in basis_tuples(dfm, modes):
+        n = ns[mode - 1]
+        if n + 1 <= kp - 1:
+            up = ns[: mode - 1] + (n + 1,) + ns[mode:]
+            lo, hi = basis_index(ns, dfm), basis_index(up, dfm)
+            out[(hi, lo) if raising else (lo, hi)] = math.sqrt(qnumber(n + 1, dfm))
+    return out
 
 
 def ladder(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
@@ -253,35 +319,13 @@ def ladder(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
     one with amplitude sqrt([n+1]).  Must coincide with
     ``quantize(theta_mode)``; that equality is part of ``verify_relations``.
     """
-    if not 1 <= mode <= modes:
-        raise ValueError(f"mode {mode} out of range 1..{modes}")
-    kp = dfm.kprime
-    dim = kp**modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for ns in basis_tuples(dfm, modes):
-        n = ns[mode - 1]
-        if n + 1 <= kp - 1:
-            up = list(ns)
-            up[mode - 1] = n + 1
-            out[basis_index(ns, dfm), basis_index(tuple(up), dfm)] = math.sqrt(qnumber(n + 1, dfm))
-    return FockOperator(dfm, modes, out)
+    return FockOperator(dfm, modes, _shift_matrix(dfm, modes, mode, raising=False))
 
 
 def ladder_dag(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
     """Closed-form quantization of bartheta_mode: raises occupation ``mode``
     with amplitude sqrt([n+1]); the conjugate transpose of ``ladder``."""
-    if not 1 <= mode <= modes:
-        raise ValueError(f"mode {mode} out of range 1..{modes}")
-    kp = dfm.kprime
-    dim = kp**modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for ns in basis_tuples(dfm, modes):
-        n = ns[mode - 1]
-        if n + 1 <= kp - 1:
-            up = list(ns)
-            up[mode - 1] = n + 1
-            out[basis_index(tuple(up), dfm), basis_index(ns, dfm)] = math.sqrt(qnumber(n + 1, dfm))
-    return FockOperator(dfm, modes, out)
+    return FockOperator(dfm, modes, _shift_matrix(dfm, modes, mode, raising=True))
 
 
 def number_operator(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
@@ -304,18 +348,14 @@ def q_power_N(dfm: Deformation, modes: int = 1, sign: int = 1, mode: int = 1) ->
     return FockOperator(dfm, modes, np.diag(diag))
 
 
-def _q_half_N(dfm: Deformation) -> np.ndarray:
-    # Principal branch: q**(n/2) = exp(i*pi*n/k).
-    return np.diag([cmath.exp(1j * math.pi * n / dfm.k) for n in range(dfm.kprime)])
-
-
 def rescale_B(dfm: Deformation) -> tuple[FockOperator, FockOperator]:
     """Rescaled pair B = q^(N/2) A and B' = A' q^(N/2) (single mode).
 
     Straightens the two q-commutators into the single relation
     B B' - q^2 B' B = 1.
     """
-    half = _q_half_N(dfm)
+    # Principal branch: q**(n/2) = exp(i*pi*n/k).
+    half = np.diag([cmath.exp(1j * math.pi * n / dfm.k) for n in range(dfm.kprime)])
     low = ladder(dfm, 1, 1)
     high = ladder_dag(dfm, 1, 1)
     b = FockOperator(dfm, 1, half @ low.mat)
@@ -386,14 +426,11 @@ class VerificationReport:
         return f"VerificationReport({len(self.checks)} checks, {status})"
 
 
-def _theta_power(dfm: Deformation, n: int, barred: bool = False, modes: int = 1, mode: int = 1) -> ParaPoly:
-    """theta_mode^n (or bartheta_mode^n) as a polynomial; zero at n >= kprime."""
+def _theta_power(dfm: Deformation, n: int, barred: bool = False) -> ParaPoly:
+    """theta^n (or bartheta^n) on one mode; zero at n >= kprime."""
     if n >= dfm.kprime:
-        return ParaPoly.zero(dfm, modes)
-    theta = [0] * modes
-    bar = [0] * modes
-    (bar if barred else theta)[mode - 1] = n
-    return ParaPoly.monomial(dfm, modes, tuple(theta), tuple(bar))
+        return ParaPoly.zero(dfm, 1)
+    return ParaPoly.monomial(dfm, 1, (0,) if barred else (n,), (n,) if barred else (0,))
 
 
 def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10) -> VerificationReport:
@@ -459,11 +496,8 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
             rep.add(f"[low_{i}, low_{j}] = 0", (ai @ aj - aj @ ai).max_abs())
             rep.add(f"[high_{i}, high_{j}] = 0", (di @ dj - dj @ di).max_abs())
             rep.add(f"[low_{i}, high_{j}] = 0", (ai @ dj - dj @ ai).max_abs())
-            theta = [0] * modes
-            theta[i - 1] = 1
-            theta[j - 1] = 1
-            mono = ParaPoly.monomial(dfm, modes, tuple(theta), (0,) * modes)
-            prod = quantize(mono)
+            theta = tuple(int(mode in (i, j)) for mode in range(1, modes + 1))
+            prod = quantize(ParaPoly.monomial(dfm, modes, theta, (0,) * modes))
             rep.add(f"quantize(theta_{i} theta_{j}) = low_{i}@low_{j}", prod.residual(ai @ aj))
             rep.add(f"quantize(theta_{i} theta_{j}) = low_{j}@low_{i}", prod.residual(aj @ ai))
     return rep
@@ -482,22 +516,10 @@ def quantize_mixed_monomial(n: int, m: int, dfm: Deformation) -> FockOperator:
     if not (0 <= n <= kp - 1 and 0 <= m <= kp - 1):
         raise ValueError(f"powers must lie in 0..{kp - 1}, got n={n}, m={m}")
     out = np.zeros((kp, kp), dtype=complex)
-    if n >= m:
-        for l in range(kp):
-            if l + n > kp - 1:
-                continue
-            col = l + n - m
-            out[l, col] = qfactorial(l + n, dfm) / math.sqrt(
-                qfactorial(l, dfm) * qfactorial(col, dfm)
-            )
-    else:
-        for l in range(kp):
-            if l + m > kp - 1:
-                continue
-            row = l + m - n
-            out[row, l] = qfactorial(l + m, dfm) / math.sqrt(
-                qfactorial(row, dfm) * qfactorial(l, dfm)
-            )
+    for row in range(kp):
+        top, col = row + n, row + n - m
+        if top <= kp - 1 and col >= 0:
+            out[row, col] = qfactorial(top, dfm) / math.sqrt(qfactorial(row, dfm) * qfactorial(col, dfm))
     return FockOperator(dfm, 1, out)
 
 
@@ -572,16 +594,10 @@ def check_ordering_products(dfm: Deformation, tolerance: float = 1e-10) -> Verif
     b_R = quantize(bth, Ordering.RIGHT)
 
     def super_diag(values) -> FockOperator:
-        out = np.zeros((kp, kp), dtype=complex)
-        for n, v in enumerate(values):
-            out[n, n + 1] = v
-        return FockOperator(dfm, 1, out)
+        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), 1))
 
     def sub_diag(values) -> FockOperator:
-        out = np.zeros((kp, kp), dtype=complex)
-        for n, v in enumerate(values):
-            out[n + 1, n] = v
-        return FockOperator(dfm, 1, out)
+        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), -1))
 
     roots = [math.sqrt(qnumber(n + 1, dfm)) for n in range(kp - 1)]
     rep.add("left-ordered lowering = antinormal lowering", a_L.residual(quantize(theta)))
@@ -600,39 +616,20 @@ def check_ordering_products(dfm: Deformation, tolerance: float = 1e-10) -> Verif
     def diag(values) -> FockOperator:
         return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex)))
 
-    nums = [qnumber(n, dfm) for n in range(kp + 1)]
-    rep.add(
-        "L(th)@R(bth) = diag([n+1])",
-        (a_L @ b_R).residual(diag([nums[n + 1] for n in range(kp)])),
-    )
-    rep.add(
-        "L(th)@L(bth) = diag([n+1] q_k^(n+2))",
-        (a_L @ b_L).residual(diag([nums[n + 1] * q_k ** (n + 2) for n in range(kp)])),
-    )
-    rep.add(
-        "R(th)@R(bth) = diag([n+1] q_k^(n+2))",
-        (a_R @ b_R).residual(diag([nums[n + 1] * q_k ** (n + 2) for n in range(kp)])),
-    )
-    rep.add(
-        "R(th)@L(bth) = diag([n+1] q_k^(2n+4))",
-        (a_R @ b_L).residual(diag([nums[n + 1] * q_k ** (2 * n + 4) for n in range(kp)])),
-    )
-    rep.add(
-        "R(bth)@L(th) = diag([n])",
-        (b_R @ a_L).residual(diag([nums[n] for n in range(kp)])),
-    )
-    rep.add(
-        "R(bth)@R(th) = diag([n] q_k^(n+1))",
-        (b_R @ a_R).residual(diag([nums[n] * q_k ** (n + 1) for n in range(kp)])),
-    )
-    rep.add(
-        "L(bth)@L(th) = diag([n] q_k^(n+1))",
-        (b_L @ a_L).residual(diag([nums[n] * q_k ** (n + 1) for n in range(kp)])),
-    )
-    rep.add(
-        "L(bth)@R(th) = diag([n] q_k^(2n+2))",
-        (b_L @ a_R).residual(diag([nums[n] * q_k ** (2 * n + 2) for n in range(kp)])),
-    )
+    # (name, product, shift, slope, offset): product = diag([n+shift] q_k^(slope*n + offset))
+    nums = np.array([qnumber(n, dfm) for n in range(kp + 1)])
+    n = np.arange(kp)
+    for name, prod, shift, slope, offset in (
+        ("L(th)@R(bth) = diag([n+1])", a_L @ b_R, 1, 0, 0),
+        ("L(th)@L(bth) = diag([n+1] q_k^(n+2))", a_L @ b_L, 1, 1, 2),
+        ("R(th)@R(bth) = diag([n+1] q_k^(n+2))", a_R @ b_R, 1, 1, 2),
+        ("R(th)@L(bth) = diag([n+1] q_k^(2n+4))", a_R @ b_L, 1, 2, 4),
+        ("R(bth)@L(th) = diag([n])", b_R @ a_L, 0, 0, 0),
+        ("R(bth)@R(th) = diag([n] q_k^(n+1))", b_R @ a_R, 0, 1, 1),
+        ("L(bth)@L(th) = diag([n] q_k^(n+1))", b_L @ a_L, 0, 1, 1),
+        ("L(bth)@R(th) = diag([n] q_k^(2n+2))", b_L @ a_R, 0, 2, 2),
+    ):
+        rep.add(name, prod.residual(diag(nums[n + shift] * q_k ** (slope * n + offset))))
     return rep
 
 
@@ -645,41 +642,34 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     rep = VerificationReport(tolerance)
     low = ladder(dfm)
     high = ladder_dag(dfm)
+    lows = [low.power(n).mat for n in range(kp)]
+    highs = [high.power(m).mat for m in range(kp)]
+    fac = [qfactorial(n, dfm) for n in range(kp)]
     res_int = 0.0
     res_prod = 0.0
     res_rev = 0.0
-    for n in range(kp):
-        for m in range(kp):
+    res_comm = 0.0
+    base = lows[1] @ highs[1] - highs[1] @ lows[1]
+    for m in range(kp):
+        # sum_r high^r @ base @ high^(m-1-r), shared by every n
+        inner = sum((highs[r] @ base @ highs[m - 1 - r] for r in range(m)), np.zeros((kp, kp), complex))
+        for n in range(kp):
             closed = quantize_mixed_monomial(n, m, dfm)
             theta = ParaPoly.monomial(dfm, 1, (n,), (m,))
             res_int = max(res_int, closed.residual(quantize(theta)))
-            res_prod = max(res_prod, closed.residual(low.power(n) @ high.power(m)))
+            forward = lows[n] @ highs[m]
+            reverse = highs[m] @ lows[n]
+            res_prod = max(res_prod, float(np.max(np.abs(closed.mat - forward))))
             # Reversed product high^m @ low^n, closed form.
             rev = np.zeros((kp, kp), dtype=complex)
-            for l in range(kp):
-                if l + n > kp - 1 or l + m > kp - 1:
-                    continue
-                rev[l + m, l + n] = math.sqrt(
-                    (qfactorial(l + n, dfm) / qfactorial(l, dfm))
-                    * (qfactorial(l + m, dfm) / qfactorial(l, dfm))
-                )
-            res_rev = max(res_rev, (high.power(m) @ low.power(n)).residual(FockOperator(dfm, 1, rev)))
+            for l in range(kp - max(n, m)):
+                rev[l + m, l + n] = math.sqrt((fac[l + n] / fac[l]) * (fac[l + m] / fac[l]))
+            res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
+            acc = sum((lows[s] @ inner @ lows[n - 1 - s] for s in range(n)), np.zeros((kp, kp), complex))
+            res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - acc))))
     rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", res_int)
     rep.add("closed mixed form = low^n @ high^m, all n,m", res_prod)
     rep.add("reversed product high^m @ low^n matches its closed form, all n,m", res_rev)
-
-    base = low @ high - high @ low
-    res_comm = 0.0
-    for n in range(kp):
-        for m in range(kp):
-            lhs = low.power(n) @ high.power(m) - high.power(m) @ low.power(n)
-            acc = FockOperator.zero(dfm)
-            for s in range(n):
-                for r in range(m):
-                    acc = acc + (
-                        low.power(s) @ high.power(r) @ base @ high.power(m - 1 - r) @ low.power(n - 1 - s)
-                    )
-            res_comm = max(res_comm, lhs.residual(acc))
     rep.add("[low^n, high^m] = nested first-order commutator sum, all n,m", res_comm)
     return rep
 
@@ -687,6 +677,8 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
 def hermiticity_residual(dfm: Deformation, trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of quantize(conjugate(f)) from dagger(quantize(f))
     over random single-mode symbols."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -724,4 +716,7 @@ def operator_from_dict(obj: dict) -> FockOperator:
         mat = [[complex(float(v["re"]), float(v["im"])) for v in row] for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
-    return FockOperator(dfm, d, np.asarray(mat, dtype=complex))
+    mat = np.asarray(mat, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    return FockOperator(dfm, d, mat)

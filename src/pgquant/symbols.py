@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .quantization import (
     VerificationReport,
     coherent_bra,
     coherent_ket,
+    mode_table,
     quantize,
 )
 
@@ -90,54 +90,33 @@ def coherent_overlap(dfm: Deformation) -> ParaPoly:
     return lower_symbol_by_pairing(FockOperator.identity(dfm, 1))
 
 
-@lru_cache(maxsize=None)
-def _quantized_monomial(dfm: Deformation, s: int, t: int) -> np.ndarray:
-    """Antinormal quantization of theta^s bartheta^t, cached."""
-    return quantize(ParaPoly.monomial(dfm, 1, (s,), (t,))).mat
-
-
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
-    Matrix entries on the diagonal row - col = p are sourced only by
-    monomials theta^s bartheta^(s+p) (and mirrored for negative p), so the
+    Matrix entries on the diagonal col - row = p are sourced only by
+    monomials theta^(j+a) bartheta^(j+b) with a - b = p, a, b >= 0, so the
     coefficient map restricted to one diagonal is a square triangular
     system.  Solving each diagonal from its outermost row inward inverts
-    quantization; the system matrix is assembled by quantizing the
-    monomial symbols themselves, which keeps the two maps consistent by
-    construction.
+    quantization; the system entries and pivots are read from
+    ``mode_table``, the table ``quantize`` itself uses, which keeps the two
+    maps consistent by construction.
     """
     _require_single_mode(op.d, "upper_symbol")
     dfm = op.dfm
     kp = dfm.kprime
+    table = mode_table(dfm)
     coeffs: dict = {}
-    for p in range(kp):
-        # Diagonal row - col = p: unknowns f_{s, s+p}; equation for row n
-        # involves only unknowns with s <= kp - 1 - n.
-        size = kp - p
+    for p in range(1 - kp, kp):
+        a, b = max(p, 0), max(-p, 0)
+        size = kp - abs(p)
         solved = np.zeros(size, dtype=complex)
         for i in range(size):
-            n = kp - 1 - i
-            acc = op.mat[n, n - p]
-            for j in range(i):
-                acc -= _quantized_monomial(dfm, j, j + p)[n, n - p] * solved[j]
-            pivot = _quantized_monomial(dfm, i, i + p)[n, n - p]
-            solved[i] = acc / pivot
-        for s in range(size):
-            coeffs[((s,), (s + p,))] = solved[s]
-    for p in range(1, kp):
-        # Diagonal col - row = p: unknowns f_{t+p, t}.
-        size = kp - p
-        solved = np.zeros(size, dtype=complex)
-        for i in range(size):
-            n = kp - 1 - p - i
-            acc = op.mat[n, n + p]
-            for j in range(i):
-                acc -= _quantized_monomial(dfm, j + p, j)[n, n + p] * solved[j]
-            pivot = _quantized_monomial(dfm, i + p, i)[n, n + p]
-            solved[i] = acc / pivot
-        for t in range(size):
-            coeffs[((t + p,), (t,))] = solved[t]
+            # Row n involves only the unknowns j <= i.
+            n = kp - 1 - a - i
+            js = np.arange(i)
+            acc = op.mat[n, n + p] - table[js + a, js + b, n] @ solved[:i]
+            solved[i] = acc / table[i + a, i + b, n]
+        coeffs.update({((j + a,), (j + b,)): solved[j] for j in range(size)})
     return ParaPoly(dfm, 1, coeffs)
 
 
@@ -156,6 +135,8 @@ def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
 def round_trip_residuals(dfm: Deformation, trials: int = 100, seed: int = 0) -> tuple[float, float]:
     """Worst residuals of the two symbol round trips on random data:
     upper_symbol(quantize(f)) vs f, and quantize(upper_symbol(A)) vs A."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     kp = dfm.kprime
     worst_poly = 0.0
@@ -207,6 +188,8 @@ def quaternion_demo(trials: int = 100, seed: int = 0, tolerance: float = 1e-10) 
     unit relations, the closed-form symbol, and the full product law on
     random complex quaternion pairs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dfm = deformation(4)
     rep = VerificationReport(tolerance)
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -362,3 +362,16 @@ def test_constant_phase_algebra():
     assert p.coefficient((2,), (2,)) == pytest.approx(dfm.q_k.conjugate(), abs=1e-12)
     # frozen: conj(q_12^2) = exp(-i pi/3)
     assert p.coefficient((2,), (2,)) == pytest.approx(cmath.exp(-1j * math.pi / 3), abs=1e-12)
+
+
+def test_small_coefficients_are_kept_and_zeros_dropped():
+    dfm = deformation(8)
+    p = ParaPoly(dfm, 1, {((1,), (0,)): 1e-30, ((2,), (0,)): 0.0})
+    assert p.terms == {((1,), (0,)): 1e-30 + 0j}
+    assert (p - p).terms == {}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_non_finite_coefficient_raises(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ParaPoly.monomial(deformation(6), 1, (1,), (0,), bad)

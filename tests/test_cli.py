@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +197,34 @@ def test_missing_matrix_file(capsys, tmp_path):
     code, _, err = run(capsys, "dequantize", str(tmp_path / "nope.json"))
     assert code == 2
     assert err
+
+
+def test_dequantize_nan_entry_exit_code(capsys, tmp_path):
+    obj = operator_to_dict(ladder(deformation(6)))
+    obj["rows"][1][2] = {"re": float("nan"), "im": 0.0}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "dequantize", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--k", "8"], ["demo", "quaternion"]])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_exit_code(capsys, command, trials):
+    code, out, err = run(capsys, *command, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err and ">= 1" in err
+
+
+def test_python_m_pgquant(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgquant", "verify", "--k", "8"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all 41 relations pass" in proc.stdout

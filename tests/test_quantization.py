@@ -338,3 +338,16 @@ def test_qnumber_consistency_with_commutator(dfm):
     for n in range(dfm.kprime):
         lhs = qnumber(n + 1, dfm) - q * qnumber(n, dfm)
         assert abs(lhs - q ** (-n)) < 1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_hermiticity_residual_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        hermiticity_residual(deformation(6), trials=trials)
+
+
+def test_operator_from_dict_rejects_non_finite_entries():
+    obj = operator_to_dict(ladder(deformation(4)))
+    obj["rows"][0][0] = {"re": float("nan"), "im": 0.0}
+    with pytest.raises(ValueError, match="finite"):
+        operator_from_dict(obj)

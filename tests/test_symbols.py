@@ -280,3 +280,27 @@ def test_quaternion_units_square_to_minus_one_directly():
         assert moyal_star(u, u).distance(minus_one) < 1e-10
     assert moyal_star(unit_i, unit_j).distance(unit_k) < 1e-10
     assert moyal_star(unit_j, unit_i).distance(-unit_k) < 1e-10
+
+
+def test_round_trip_matrix_k48():
+    # Upper-symbol coefficients far below 1e-14 still multiply table entries
+    # up to [23]! ~ 6e14 at k = 48, so none may be dropped.
+    dfm = deformation(48)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        op = random_operator(dfm, rng)
+        assert quantize(upper_symbol(op)).residual(op) < 1e-9
+
+
+def test_upper_symbol_of_nan_matrix_raises():
+    dfm = deformation(8)
+    with pytest.raises(ValueError, match="non-finite"):
+        upper_symbol(FockOperator(dfm, 1, np.full((4, 4), np.nan)))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_helpers_reject_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        round_trip_residuals(deformation(6), trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        quaternion_demo(trials=trials)
