@@ -14,9 +14,7 @@ from .algebra import (
     ParaPoly,
     berezin_full_integral,
     berezin_prescription_product,
-    canonicalize_prescription,
     canonicalize_q,
-    coeff_distance,
     inner_product,
     multiply,
     multiply_prescription,
@@ -79,12 +77,10 @@ __all__ = [
     "basis_tuples",
     "berezin_full_integral",
     "berezin_prescription_product",
-    "canonicalize_prescription",
     "canonicalize_q",
     "check_kfermionic",
     "check_mixed_quantization",
     "check_ordering_products",
-    "coeff_distance",
     "coherent_bra",
     "coherent_ket",
     "coherent_overlap",

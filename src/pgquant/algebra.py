@@ -10,15 +10,22 @@ order ``kprime``, and generators q-commute:
 where ``a`` (resp. ``b``) is +1 when the left (resp. right) factor is
 unbarred and -1 when it is barred.  Canonical word order puts every
 unbarred generator before every barred one, each group sorted by
-increasing mode index.
+increasing mode index; a canonical monomial is its exponent row
+``(theta_1 .. theta_d, bar_1 .. bar_d)``.
 
-Two distinct reorderings coexist and must never be conflated:
+Two products coexist and must never be conflated:
 
-* ``canonicalize_q`` implements algebra multiplication: each adjacent
-  transposition picks up the q-phase above.
-* ``canonicalize_prescription`` implements the phase-free ordering rule
-  used inside integral kernels (products written between ordering colons):
-  it only counts powers and never touches the scalar.
+* ``multiply`` is the algebra product.  The relations above reduce to one
+  rule on canonical monomials, a truncated quantum plane:
+
+      x^a x^b = q_k**(a^T W b) x^(a + b),  zero once an exponent reaches kprime,
+
+  with W = ``phase_matrix(d)``.  ``product_phase`` evaluates a^T W b; the
+  involution ``ParaPoly.conjugate`` and the left/right orderings of
+  ``quantize`` read the same W.
+* ``multiply_prescription`` is the phase-free ordering rule used inside
+  integral kernels (products written between ordering colons): exponents
+  add, the coefficients just multiply, and the written order is forgotten.
 """
 
 from __future__ import annotations
@@ -28,13 +35,17 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .qnum import Deformation, qfactorial
 
 __all__ = [
     "FactorWord",
     "ParaPoly",
+    "phase_matrix",
+    "product_phase",
+    "q_powers",
     "canonicalize_q",
-    "canonicalize_prescription",
     "multiply",
     "multiply_prescription",
     "berezin_full_integral",
@@ -43,11 +54,15 @@ __all__ = [
     "inner_product",
     "pseudo_norm_sq",
     "top_monomial",
-    "coeff_distance",
     "random_poly",
     "poly_to_dict",
     "poly_from_dict",
 ]
+
+# Upper bound on the pairs handled at once: term pairs in ``multiply``,
+# (term, basis state) pairs in ``quantize``.  Memory stays O(block + output).
+_PAIRS_PER_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class FactorWord:
@@ -62,36 +77,37 @@ class FactorWord:
     scalar: complex = 1.0 + 0.0j
 
 
-def _sort_key(factor: tuple[int, bool]) -> tuple[int, int]:
-    mode, barred = factor
-    return (1 if barred else 0, mode)
+@lru_cache(maxsize=None)
+def phase_matrix(d: int) -> np.ndarray:
+    """Integer matrix W of x^a x^b = q_k**(a^T W b) x^(a + b) on ``d`` modes.
+
+    Rows index the left exponent row, columns the right one.  Joining two
+    canonical words leaves three kinds of pairs out of order, each swapped
+    once: a left theta_i before a right theta_j with i > j (q_k^-1), a left
+    bartheta_i before a right theta_j (q_k^-1 if i <= j, else q_k), and a
+    left bartheta_i before a right bartheta_j with i > j (q_k^-1).  W is
+    strictly lower triangular in canonical order.  Cached, read-only.
+    """
+    later = np.tril(np.ones((d, d), dtype=np.int64), -1)  # later[i, j] = 1 when i > j
+    w = np.block([[-later, np.zeros_like(later)], [2 * later - 1, -later]])
+    w.setflags(write=False)
+    return w
 
 
-def _swap_phase(left: tuple[int, bool], right: tuple[int, bool], q_k: complex) -> complex:
-    """Phase acquired rewriting the adjacent pair ``left right`` as ``right left``."""
-    mode_l, bar_l = left
-    mode_r, bar_r = right
-    if mode_l == mode_r:
-        # Sorting only ever moves an unbarred factor left past a barred one
-        # of the same mode: bartheta theta -> conj(q_k) theta bartheta.
-        return q_k.conjugate()
-    a = -1 if bar_l else 1
-    b = -1 if bar_r else 1
-    exponent = a * b if mode_l < mode_r else -a * b
-    return q_k if exponent == 1 else q_k.conjugate()
+def product_phase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exponent e = a^T W b of x^a x^b = q_k^e x^(a + b), row by row, for
+    exponent rows a = ``x`` and b = ``y`` stacked along the last axis as
+    ``(theta_1..theta_d, bar_1..bar_d)``."""
+    return ((x @ phase_matrix(x.shape[-1] // 2)) * y).sum(-1)
 
 
-def _word_factors(theta: tuple[int, ...], bar: tuple[int, ...]) -> list[tuple[int, bool]]:
-    out: list[tuple[int, bool]] = []
-    for i, p in enumerate(theta):
-        out.extend([(i + 1, False)] * p)
-    for i, p in enumerate(bar):
-        out.extend([(i + 1, True)] * p)
+@lru_cache(maxsize=None)
+def q_powers(dfm: Deformation) -> np.ndarray:
+    """``q_k**e`` for e = 0 .. kprime - 1; q_k is a primitive kprime-th root
+    of unity, so index with ``e % kprime``.  Cached, read-only."""
+    out = np.exp(2j * np.pi * np.arange(dfm.kprime) / dfm.kprime)
+    out.setflags(write=False)
     return out
-
-
-def _infer_modes(word: FactorWord) -> int:
-    return max((mode for mode, _ in word.factors), default=1)
 
 
 class ParaPoly:
@@ -159,6 +175,13 @@ class ParaPoly:
 
     # -- basic queries -------------------------------------------------
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as exponent rows ``(theta_1..theta_d, bar_1..bar_d)``, an
+        int64 array of shape (terms, 2d), and their complex coefficients."""
+        n, width = len(self.terms), 2 * self.d
+        expo = np.fromiter(itertools.chain.from_iterable(a + b for a, b in self.terms), np.int64, n * width)
+        return expo.reshape(n, width), np.fromiter(self.terms.values(), complex, n)
+
     def coefficient(self, theta, bar) -> complex:
         return self.terms.get((tuple(theta), tuple(bar)), 0.0 + 0.0j)
 
@@ -211,19 +234,21 @@ class ParaPoly:
 
     def conjugate(self) -> "ParaPoly":
         """Antilinear involution: conjugate coefficients, bar-toggle every
-        factor, reverse the word, then restore canonical order via
-        ``canonicalize_q``.  On a single mode this maps the canonical
-        monomial theta^s bartheta^t to theta^t bartheta^s with no extra
-        phase; with several modes the reversal of the mode blocks picks up
-        q-phases from the cross-mode relations.
+        factor and reverse the word.  c theta^a bartheta^b becomes
+        conj(c) q_k^e theta^b bartheta^a: the reversed word is
+        theta_d^b_d .. theta_1^b_1 bartheta_d^a_d .. bartheta_1^a_1, and
+        sorting each block back into increasing mode order gives
+        e = -sum_{i>j} (a_i a_j + b_i b_j), the quadratic forms of the two
+        diagonal blocks of ``phase_matrix``.  On a single mode e = 0, so
+        theta^s bartheta^t maps to theta^t bartheta^s with no phase.
         """
-        acc: dict = {}
-        for (theta, bar), c in self.terms.items():
-            word = [(mode, not barred) for (mode, barred) in reversed(_word_factors(theta, bar))]
-            piece = canonicalize_q(FactorWord(tuple(word), c.conjugate()), self.dfm, self.d)
-            for key, v in piece.terms.items():
-                acc[key] = acc.get(key, 0.0) + v
-        return ParaPoly(self.dfm, self.d, acc)
+        d = self.d
+        x, coeffs = self.arrays()
+        zero = np.zeros_like(x[:, :d])
+        theta, bar = np.hstack([x[:, :d], zero]), np.hstack([zero, x[:, d:]])
+        e = product_phase(theta, theta) + product_phase(bar, bar)
+        vals = coeffs.conj() * q_powers(self.dfm)[e % self.dfm.kprime]
+        return ParaPoly(self.dfm, d, {(r[d:], r[:d]): c for r, c in zip(map(tuple, x.tolist()), vals.tolist())})
 
     # -- comparison helpers ----------------------------------------------
 
@@ -262,67 +287,35 @@ class ParaPoly:
 
 
 def canonicalize_q(word: FactorWord, dfm: Deformation, modes: int | None = None) -> ParaPoly:
-    """Reduce a factor word to canonical form, tracking q-phases.
-
-    Performs adjacent transpositions (insertion sort) until the word is in
-    canonical order, multiplying the scalar by the commutation phase of
-    every swap.  Returns the zero polynomial when any generator power
-    reaches ``kprime``.
-    """
-    d = modes if modes is not None else _infer_modes(word)
-    factors = list(word.factors)
-    scalar = complex(word.scalar)
-    q_k = dfm.q_k
-    for i in range(1, len(factors)):
-        j = i
-        while j > 0 and _sort_key(factors[j]) < _sort_key(factors[j - 1]):
-            scalar *= _swap_phase(factors[j - 1], factors[j], q_k)
-            factors[j - 1], factors[j] = factors[j], factors[j - 1]
-            j -= 1
-    theta = [0] * d
-    bar = [0] * d
-    for mode, barred in factors:
-        if not 1 <= mode <= d:
-            raise ValueError(f"mode {mode} out of range 1..{d}")
-        (bar if barred else theta)[mode - 1] += 1
-    if any(p >= dfm.kprime for p in theta) or any(p >= dfm.kprime for p in bar):
-        return ParaPoly.zero(dfm, d)
-    return ParaPoly(dfm, d, {(tuple(theta), tuple(bar)): scalar})
-
-
-def canonicalize_prescription(word: FactorWord, dfm: Deformation, modes: int | None = None) -> ParaPoly:
-    """Reduce a factor word by the phase-free ordering prescription.
-
-    Counts generator powers without ever touching the scalar; the written
-    order of the word is deliberately forgotten.  Zero when a power reaches
-    ``kprime``.
-    """
-    d = modes if modes is not None else _infer_modes(word)
-    theta = [0] * d
-    bar = [0] * d
+    """Reduce a factor word to canonical form: its scalar times the algebra
+    product of its generators, left to right.  Zero once any generator
+    power reaches ``kprime``."""
+    d = modes if modes is not None else max((mode for mode, _ in word.factors), default=1)
+    out = ParaPoly.constant(dfm, d, word.scalar)
     for mode, barred in word.factors:
-        if not 1 <= mode <= d:
-            raise ValueError(f"mode {mode} out of range 1..{d}")
-        (bar if barred else theta)[mode - 1] += 1
-    if any(p >= dfm.kprime for p in theta) or any(p >= dfm.kprime for p in bar):
-        return ParaPoly.zero(dfm, d)
-    return ParaPoly(dfm, d, {(tuple(theta), tuple(bar)): complex(word.scalar)})
+        out = multiply(out, ParaPoly.generator(dfm, d, mode, barred))
+    return out
 
 
 def multiply(p1: ParaPoly, p2: ParaPoly) -> ParaPoly:
-    """Algebra product: bilinear extension of ``canonicalize_q`` applied to
-    concatenated factor words.  Order matters."""
+    """Algebra product, bilinear over term pairs: x^a x^b = q_k**(a^T W b)
+    x^(a + b), with pairs whose exponent sum reaches ``kprime`` dropped.
+    Order matters."""
     p1._check_compatible(p2)
+    dfm, d, kp = p1.dfm, p1.d, p1.dfm.kprime
+    x, a = p1.arrays()
+    y, b = p2.arrays()
+    q = q_powers(dfm)
     acc: dict = {}
-    for (t1, b1), c1 in p1.terms.items():
-        w1 = _word_factors(t1, b1)
-        for (t2, b2), c2 in p2.terms.items():
-            piece = canonicalize_q(
-                FactorWord(tuple(w1 + _word_factors(t2, b2)), c1 * c2), p1.dfm, p1.d
-            )
-            for key, v in piece.terms.items():
-                acc[key] = acc.get(key, 0.0) + v
-    return ParaPoly(p1.dfm, p1.d, acc)
+    block = max(1, _PAIRS_PER_BLOCK // max(1, len(y)))
+    for lo in range(0, len(x), block):
+        xs = x[lo:lo + block]
+        z = xs[:, None, :] + y
+        i, j = np.nonzero((z < kp).all(-1))
+        vals = a[lo + i] * b[j] * q[product_phase(xs[i], y[j]) % kp]
+        for key, v in zip(map(tuple, z[i, j].tolist()), vals.tolist()):
+            acc[key] = acc.get(key, 0) + v
+    return ParaPoly(dfm, d, {(key[:d], key[d:]): c for key, c in acc.items()})
 
 
 def multiply_prescription(p1: ParaPoly, p2: ParaPoly) -> ParaPoly:
@@ -414,10 +407,6 @@ def pseudo_norm_sq(v: ParaPoly) -> complex:
     """``inner_product(v, v)``.  Real and non-negative on the span of
     {1, theta^n, bartheta^n}; indefinite on mixed monomials."""
     return inner_product(v, v)
-
-
-def coeff_distance(p1: ParaPoly, p2: ParaPoly) -> float:
-    return p1.distance(p2)
 
 
 def random_poly(dfm: Deformation, rng, modes: int = 1, full: bool = True) -> ParaPoly:

@@ -15,8 +15,8 @@ orderings differ only by a phase q_k^e on that amplitude:
 * antinormal -- the kernel is merged by the phase-free prescription, e = 0;
 * left / right -- the kernel is the algebra product of the words ket_n, f,
   w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
-  completing the top degree; e sums the canonical-product phases of all
-  ordered pairs of words.
+  completing the top degree; e sums ``product_phase`` of
+  ``pgquant.algebra`` over all ordered pairs of words.
 
 Everything asserted about the resulting operators is checked numerically
 by the ``verify_*``/``check_*`` functions, which return a
@@ -35,9 +35,12 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
+    _PAIRS_PER_BLOCK,
     ParaPoly,
     berezin_prescription_product,
     multiply_prescription,
+    product_phase,
+    q_powers,
     random_poly,
     weight,
 )
@@ -222,38 +225,19 @@ def mode_table(dfm: Deformation) -> np.ndarray:
     of theta^s bartheta^t: the prescription integral of ket_n * theta^s
     bartheta^t against weight * bra_(n+s-t).  It is zero where
     ``n + s >= kprime`` or ``n + s < t``, the entries the kernel cannot
-    reach, and ``[n+s]! / sqrt([n]! [n+s-t]!)`` elsewhere.
+    reach, and ``[n+s]! / sqrt([n]! [n+s-t]!)`` elsewhere: real, so the
+    table is float64.
     """
     kp = dfm.kprime
     ket = coherent_ket(dfm, 1).components
     cols = [multiply_prescription(weight(dfm, 1), comp) for comp in coherent_bra(dfm, 1).components]
-    table = np.zeros((kp, kp, kp), dtype=complex)
+    table = np.zeros((kp, kp, kp))
     for s, t, n in itertools.product(range(kp), repeat=3):
         if n + s < kp and n + s >= t:
             row = multiply_prescription(ket[n], ParaPoly.monomial(dfm, 1, (s,), (t,)))
-            table[s, t, n] = berezin_prescription_product(row, cols[n + s - t])
+            table[s, t, n] = berezin_prescription_product(row, cols[n + s - t]).real
     table.setflags(write=False)
     return table
-
-
-def _product_phase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exponent e of x^a x^b = q_k^e x^(a + b) for canonical monomials given
-    as exponent rows ``(theta_1..theta_d, bar_1..bar_d)``: sorting the joined
-    words moves a left theta_i past a right theta_j, i > j (q_k^-1 each); a
-    left bartheta_i past a right theta_j (q_k^-1 if i <= j, else q_k); and
-    a left bartheta_i past a right bartheta_j, i > j (q_k^-1)."""
-    d = x.shape[-1] // 2
-    later = np.tril(np.ones((d, d), dtype=np.int64), -1)  # later[i, j] = 1 when i > j
-    (a1, b1), (a2, b2) = np.split(x, 2, axis=-1), np.split(y, 2, axis=-1)
-    return (
-        -np.einsum("pi,ij,pj->p", a1, later, a2)
-        + np.einsum("pi,ij,pj->p", b1, 2 * later - 1, a2)
-        - np.einsum("pi,ij,pj->p", b1, later, b2)
-    )
-
-
-# Upper bound on (term, basis state) pairs gathered at once by ``quantize``.
-_PAIRS_PER_BLOCK = 1 << 16
 
 
 def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> FockOperator:
@@ -273,14 +257,13 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     table = mode_table(dfm).ravel()
     states = np.array(basis_tuples(dfm, d), dtype=np.int64)
     place = kp ** np.arange(d - 1, -1, -1)
-    coeffs = np.array(list(f.terms.values()), dtype=complex)
-    expo = np.fromiter(itertools.chain.from_iterable(a + b for a, b in f.terms), np.int64, 2 * d * len(coeffs))
-    theta, bar = expo.reshape(-1, 2, d).transpose(1, 0, 2)
+    expo, coeffs = f.arrays()
+    theta, bar = expo[:, :d], expo[:, d:]
     flat = np.zeros(dim * dim, dtype=complex)
     block = max(1, _PAIRS_PER_BLOCK // dim)
     for lo in range(0, len(coeffs), block):
         s, t = theta[lo:lo + block], bar[lo:lo + block]
-        amp = np.ones((len(s), dim), dtype=complex)
+        amp = np.ones((len(s), dim))
         for i, st in enumerate(((s * kp + t) * kp).T):  # T[s_i, t_i, n_i], mode by mode
             amp *= table[st[:, None] + states[:, i]]
         term, row = np.nonzero(amp)
@@ -292,8 +275,8 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
             ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
             w = np.tile(kp - 1 - n - s, 2)
             words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
-            e = sum(_product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
-            vals = vals * np.exp(2j * np.pi * (e % kp) / kp)
+            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+            vals = vals * q_powers(dfm)[e % kp]
         flat += np.bincount(index, vals.real, dim * dim) + 1j * np.bincount(index, vals.imag, dim * dim)
     return FockOperator(dfm, d, flat.reshape(dim, dim))
 

@@ -104,7 +104,7 @@ def upper_symbol(op: FockOperator) -> ParaPoly:
     _require_single_mode(op.d, "upper_symbol")
     dfm = op.dfm
     kp = dfm.kprime
-    table = mode_table(dfm)
+    table = mode_table(dfm).astype(complex)  # a real @ complex product would cast on every row
     coeffs: dict = {}
     for p in range(1 - kp, kp):
         a, b = max(p, 0), max(-p, 0)

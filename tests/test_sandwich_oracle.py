@@ -4,7 +4,9 @@
 integrates ket_n * f * weight * bra_m, merged by the phase-free
 prescription for the antinormal ordering and by the algebra product, with
 its q-phases, for the left and right orderings.  It is the reference that
-the table-driven ``quantize`` must reproduce.
+the table-driven ``quantize`` must reproduce.  The left and right orderings
+reach the algebra product through ``multiply``, which
+``test_product_oracle`` checks against the word-sorting reducer.
 """
 
 import itertools
