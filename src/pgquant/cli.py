@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from . import expr as expr_mod
@@ -100,6 +102,14 @@ def _parse_poly(text: str, k: int, modes: int) -> ParaPoly:
     dfm = deformation(k)
     ast = expr_mod.parse(text, modes)
     return expr_mod.eval_expression(ast, dfm, modes)
+
+
+def _check_size(k: int, modes: int) -> None:
+    """Refuse a dense (k/2)^modes square complex matrix larger than physical memory."""
+    kp = deformation(k).kprime
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if modes >= 1 and 4 + 2 * modes * math.log2(kp) > math.log2(memory):  # 16 bytes an entry
+        raise ValueError(f"a {kp}^{modes} x {kp}^{modes} complex matrix exceeds {memory / 2**30:.1f} GiB of memory")
 
 
 def _cmd_verify(args) -> int:
@@ -269,6 +279,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "modes" in vars(args):  # before any basis or matrix is built
+            _check_size(args.k, args.modes)
         return args.handler(args)
     except expr_mod.ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

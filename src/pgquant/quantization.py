@@ -7,8 +7,8 @@ row-major with ``n_1`` most significant, so ``dim = kprime**d``.
 
 Entry (n, m) of the quantization of f integrates the coherent-state
 kernel ket_n * f * weight * bra_m.  The kernel factorizes over the modes,
-so one cached single-mode table T = ``mode_table(dfm)``, filled once from
-that kernel, gives every matrix: the term c theta^s bartheta^t sends |n>
+so one cached single-mode table T = ``mode_table(dfm)``, the closed form
+of that kernel, gives every matrix: the term c theta^s bartheta^t sends |n>
 to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
 orderings differ only by a phase q_k^e on that amplitude:
 
@@ -223,19 +223,17 @@ def mode_table(dfm: Deformation) -> np.ndarray:
 
     ``T[s, t, n]`` is entry (n, n + s - t) of the antinormal quantization
     of theta^s bartheta^t: the prescription integral of ket_n * theta^s
-    bartheta^t against weight * bra_(n+s-t).  It is zero where
-    ``n + s >= kprime`` or ``n + s < t``, the entries the kernel cannot
-    reach, and ``[n+s]! / sqrt([n]! [n+s-t]!)`` elsewhere: real, so the
-    table is float64.
+    bartheta^t against weight * bra_(n+s-t), which evaluates to
+    ``[n+s]! / sqrt([n]! [n+s-t]!)``.  It is zero where ``n + s >= kprime``
+    or ``n + s < t``, the entries the kernel cannot reach.  The entries are
+    real, so the table is float64.
     """
     kp = dfm.kprime
-    ket = coherent_ket(dfm, 1).components
-    cols = [multiply_prescription(weight(dfm, 1), comp) for comp in coherent_bra(dfm, 1).components]
-    table = np.zeros((kp, kp, kp))
-    for s, t, n in itertools.product(range(kp), repeat=3):
-        if n + s < kp and n + s >= t:
-            row = multiply_prescription(ket[n], ParaPoly.monomial(dfm, 1, (s,), (t,)))
-            table[s, t, n] = berezin_prescription_product(row, cols[n + s - t]).real
+    fac = np.array([qfactorial(n, dfm) for n in range(kp)])
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    top, col = n + s, n + s - t
+    reach = (top < kp) & (col >= 0)
+    table = np.where(reach, fac[top.clip(0, kp - 1)] / np.sqrt(fac[n] * fac[col.clip(0, kp - 1)]), 0.0)
     table.setflags(write=False)
     return table
 
@@ -281,20 +279,17 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     return FockOperator(dfm, d, flat.reshape(dim, dim))
 
 
-def _shift_matrix(dfm: Deformation, modes: int, mode: int, raising: bool) -> np.ndarray:
-    """sqrt([n+1]) linking |.. n ..> and |.. n+1 ..> in the given mode, at
-    (lower state, upper state), or transposed when ``raising``."""
+def _mode_operator(dfm: Deformation, modes: int, mode: int, band, offset: int = 0) -> FockOperator:
+    """Kronecker embedding 1 (x) F (x) 1 of the single-mode factor F that holds
+    ``band[n]`` at (n, n + offset), acting on the given mode.  Every nonzero
+    entry is a copy of a ``band`` value, so no entry is a product with zero
+    and every zero is +0."""
     if not 1 <= mode <= modes:
         raise ValueError(f"mode {mode} out of range 1..{modes}")
     kp = dfm.kprime
-    out = np.zeros((kp**modes, kp**modes), dtype=complex)
-    for ns in basis_tuples(dfm, modes):
-        n = ns[mode - 1]
-        if n + 1 <= kp - 1:
-            up = ns[: mode - 1] + (n + 1,) + ns[mode:]
-            lo, hi = basis_index(ns, dfm), basis_index(up, dfm)
-            out[(hi, lo) if raising else (lo, hi)] = math.sqrt(qnumber(n + 1, dfm))
-    return out
+    inner = kp ** (modes - mode)
+    diag = np.tile(np.repeat(np.asarray(band, dtype=complex), inner), kp ** (mode - 1))
+    return FockOperator(dfm, modes, np.diag(diag[: diag.size - offset * inner], offset * inner))
 
 
 def ladder(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
@@ -302,33 +297,27 @@ def ladder(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
     one with amplitude sqrt([n+1]).  Must coincide with
     ``quantize(theta_mode)``; that equality is part of ``verify_relations``.
     """
-    return FockOperator(dfm, modes, _shift_matrix(dfm, modes, mode, raising=False))
+    roots = [math.sqrt(qnumber(n + 1, dfm)) for n in range(dfm.kprime - 1)] + [0.0]
+    return _mode_operator(dfm, modes, mode, roots, offset=1)
 
 
 def ladder_dag(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
     """Closed-form quantization of bartheta_mode: raises occupation ``mode``
-    with amplitude sqrt([n+1]); the conjugate transpose of ``ladder``."""
-    return FockOperator(dfm, modes, _shift_matrix(dfm, modes, mode, raising=True))
+    with amplitude sqrt([n+1]); the transpose of the real ``ladder``."""
+    return FockOperator(dfm, modes, ladder(dfm, modes, mode).mat.T)
 
 
 def number_operator(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
     """Diagonal occupation count of the given mode."""
-    if not 1 <= mode <= modes:
-        raise ValueError(f"mode {mode} out of range 1..{modes}")
-    diag = [ns[mode - 1] for ns in basis_tuples(dfm, modes)]
-    return FockOperator(dfm, modes, np.diag(np.asarray(diag, dtype=complex)))
+    return _mode_operator(dfm, modes, mode, range(dfm.kprime))
 
 
 def q_power_N(dfm: Deformation, modes: int = 1, sign: int = 1, mode: int = 1) -> FockOperator:
     """Diagonal matrix q**(sign * n_mode)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not 1 <= mode <= modes:
-        raise ValueError(f"mode {mode} out of range 1..{modes}")
-    diag = [
-        cmath.exp(2j * math.pi * sign * ns[mode - 1] / dfm.k) for ns in basis_tuples(dfm, modes)
-    ]
-    return FockOperator(dfm, modes, np.diag(diag))
+    phases = [cmath.exp(2j * math.pi * sign * n / dfm.k) for n in range(dfm.kprime)]
+    return _mode_operator(dfm, modes, mode, phases)
 
 
 def rescale_B(dfm: Deformation) -> tuple[FockOperator, FockOperator]:
@@ -339,11 +328,8 @@ def rescale_B(dfm: Deformation) -> tuple[FockOperator, FockOperator]:
     """
     # Principal branch: q**(n/2) = exp(i*pi*n/k).
     half = np.diag([cmath.exp(1j * math.pi * n / dfm.k) for n in range(dfm.kprime)])
-    low = ladder(dfm, 1, 1)
-    high = ladder_dag(dfm, 1, 1)
-    b = FockOperator(dfm, 1, half @ low.mat)
-    bd = FockOperator(dfm, 1, high.mat @ half)
-    return b, bd
+    low = ladder(dfm).mat
+    return FockOperator(dfm, 1, half @ low), FockOperator(dfm, 1, low.T @ half)
 
 
 @dataclass

@@ -1,20 +1,19 @@
 """Symbol maps between matrices and polynomials, and the induced star product.
 
 The lower symbol pairs a matrix with the coherent-state family; the upper
-symbol inverts antinormal quantization, diagonal by diagonal, through a
-triangular linear system.  Since quantization is a linear bijection onto
+symbol inverts antinormal quantization by one contraction with a cached
+inverse of ``mode_table``.  Since quantization is a linear bijection onto
 the full matrix algebra, transporting the operator product back to symbols
 defines an associative star product on single-mode polynomials.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ParaPoly, multiply, random_poly
+from .algebra import ParaPoly, multiply, q_powers, random_poly
 from .qnum import Deformation, deformation, qfactorial
 from .quantization import (
     FockOperator,
@@ -53,16 +52,10 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
     _require_single_mode(op.d, "lower_symbol")
     dfm = op.dfm
     kp = dfm.kprime
-    terms: dict = {}
-    for nb in range(kp):
-        for n in range(kp):
-            a = op.mat[nb, n]
-            if a == 0:
-                continue
-            phase = cmath.exp(-4j * math.pi * n * nb / dfm.k)
-            coeff = phase * a / math.sqrt(qfactorial(nb, dfm) * qfactorial(n, dfm))
-            terms[((n,), (nb,))] = terms.get(((n,), (nb,)), 0.0) + coeff
-    return ParaPoly(dfm, 1, terms)
+    fac = np.array([qfactorial(n, dfm) for n in range(kp)])
+    nb, n = np.ogrid[:kp, :kp]
+    coeffs = q_powers(dfm)[(-n * nb) % kp] * op.mat / np.sqrt(fac[nb] * fac[n])
+    return ParaPoly(dfm, 1, {((j,), (i,)): coeffs[i, j] for i in range(kp) for j in range(kp)})
 
 
 def lower_symbol_by_pairing(op: FockOperator) -> ParaPoly:
@@ -90,34 +83,39 @@ def coherent_overlap(dfm: Deformation) -> ParaPoly:
     return lower_symbol_by_pairing(FockOperator.identity(dfm, 1))
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(dfm: Deformation) -> np.ndarray:
+    """Inverse of ``mode_table`` in its (s, t, n) layout, cached per
+    deformation (read-only).  Only theta^(j+a) bartheta^(j+b) reach diagonal
+    p = a - b, on the rows n = j + b, and their entries there form one square
+    block, triangular up to row order; U holds the inverse of each block."""
+    kp = dfm.kprime
+    table = mode_table(dfm)
+    inverse = np.zeros_like(table)
+    for p in range(1 - kp, kp):
+        a, b = max(p, 0), max(-p, 0)
+        j = np.arange(kp - abs(p))
+        block = table[j + a, j + b, (j + b)[:, None]]  # block[r, c] = T[c + a, c + b, r + b]
+        inverse[(j + a)[:, None], (j + b)[:, None], j + b] = np.linalg.inv(block)
+    inverse.setflags(write=False)
+    return inverse
+
+
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
-    Matrix entries on the diagonal col - row = p are sourced only by
-    monomials theta^(j+a) bartheta^(j+b) with a - b = p, a, b >= 0, so the
-    coefficient map restricted to one diagonal is a square triangular
-    system.  Solving each diagonal from its outermost row inward inverts
-    quantization; the system entries and pivots are read from
+    One contraction with the inverse table: the coefficient of theta^s
+    bartheta^t is ``sum_n U[s, t, n] * A[n, n + s - t]``.  U inverts
     ``mode_table``, the table ``quantize`` itself uses, which keeps the two
     maps consistent by construction.
     """
     _require_single_mode(op.d, "upper_symbol")
     dfm = op.dfm
     kp = dfm.kprime
-    table = mode_table(dfm).astype(complex)  # a real @ complex product would cast on every row
-    coeffs: dict = {}
-    for p in range(1 - kp, kp):
-        a, b = max(p, 0), max(-p, 0)
-        size = kp - abs(p)
-        solved = np.zeros(size, dtype=complex)
-        for i in range(size):
-            # Row n involves only the unknowns j <= i.
-            n = kp - 1 - a - i
-            js = np.arange(i)
-            acc = op.mat[n, n + p] - table[js + a, js + b, n] @ solved[:i]
-            solved[i] = acc / table[i + a, i + b, n]
-        coeffs.update({((j + a,), (j + b,)): solved[j] for j in range(size)})
-    return ParaPoly(dfm, 1, coeffs)
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    wide = np.pad(op.mat, ((0, 0), (kp, kp)))  # zero columns where n + s - t leaves the matrix
+    coeffs = np.einsum("stn,stn->st", _inverse_table(dfm), wide[n, n + s - t + kp])
+    return ParaPoly(dfm, 1, {((i,), (j,)): coeffs[i, j] for i in range(kp) for j in range(kp)})
 
 
 def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:

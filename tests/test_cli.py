@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,9 @@ from pgquant import (
     poly_from_dict,
     quantize,
 )
-from pgquant.cli import main
+from pgquant.cli import MATRIX_NAMES, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -162,6 +166,22 @@ def test_demo_quaternion_json(capsys):
     assert all(r["pass"] for r in json.loads(out)["relations"])
 
 
+@pytest.mark.parametrize("k, modes, mode", [(8, 1, 1), (6, 2, 1), (6, 2, 2), (4, 3, 2)])
+def test_matrix_zeros_carry_no_sign(capsys, k, modes, mode):
+    # a zero entry is +0 in both parts (pretty output "0+0i", never "-0+0i"),
+    # and the real operators carry no signed zero at all
+    for name in MATRIX_NAMES:
+        if name in ("B", "Bdag") and modes != 1:
+            continue
+        argv = ["matrix", name, "--k", str(k), "--modes", str(modes), "--mode", str(mode), "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        for entry in (e for row in json.loads(out)["rows"] for e in row):
+            parts = (entry["re"], entry["im"])
+            if parts == (0.0, 0.0) or name in ("theta", "bartheta", "number"):
+                assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0.0), (name, entry)
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -228,3 +248,39 @@ def test_python_m_pgquant(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "all 41 relations pass" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "64", "--modes", "8"],
+    ["quantize", "th1", "--k", "64", "--modes", "8"],
+    ["matrix", "theta", "--k", "64", "--modes", "8"],
+    ["matrix", "number", "--k", "4", "--modes", "1000000000"],
+])
+def test_oversize_dimension_refused_before_allocating(tmp_path, argv):
+    # The child runs under a 2 GiB address-space cap, so a guard that let the
+    # request through would end in MemoryError instead of filling the machine.
+    child = textwrap.dedent("""
+        import resource, sys
+        from pgquant.cli import main
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "exceeds" in proc.stderr and "memory" in proc.stderr
+
+
+def test_size_guard_boundary(capsys, monkeypatch):
+    # with 4096 bytes of memory a 16 x 16 complex matrix (k=8, two modes) just
+    # fits and a 64 x 64 one (three modes) does not
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    assert run(capsys, "matrix", "theta", "--k", "8", "--modes", "2")[0] == 0
+    for argv in (["matrix", "theta"], ["quantize", "th1"], ["verify"]):
+        code, out, err = run(capsys, *argv, "--k", "8", "--modes", "3")
+        assert code == 2
+        assert out == ""
+        assert "exceeds" in err

@@ -1,6 +1,9 @@
 """Quantization layer: coherent kernels, the three operator orderings,
 ladder closed forms and the relation checkers."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,37 @@ def test_number_operator_and_phase_diagonals():
     assert np.allclose(number_operator(dfm).mat, np.diag([0.0, 1.0]))
     assert np.max(np.abs(q_power_N(dfm, sign=-1).mat - np.diag([1.0, -1j]))) < 1e-12
     assert np.max(np.abs(q_power_N(dfm, sign=1).mat - np.diag([1.0, 1j]))) < 1e-12
+
+
+def loop_mode_operators(dfm, modes, mode):
+    """ladder, ladder_dag, number_operator and q_power_N(+1, -1) built entry by
+    entry over the basis tuples: the reference for the Kronecker embeddings."""
+    dim = dfm.kprime**modes
+    low, high, num, q_pos, q_neg = (np.zeros((dim, dim), dtype=complex) for _ in range(5))
+    for ns in basis_tuples(dfm, modes):
+        i, n = basis_index(ns, dfm), ns[mode - 1]
+        num[i, i] = n
+        for sign, diag in ((1, q_pos), (-1, q_neg)):
+            diag[i, i] = cmath.exp(2j * math.pi * sign * n / dfm.k)
+        if n + 1 < dfm.kprime:
+            up = basis_index(ns[: mode - 1] + (n + 1,) + ns[mode:], dfm)
+            low[i, up] = high[up, i] = math.sqrt(qnumber(n + 1, dfm))
+    return low, high, num, q_pos, q_neg
+
+
+@pytest.mark.parametrize("k, modes", [(4, 1), (8, 1), (16, 1), (6, 2), (8, 2), (4, 3), (6, 3)])
+def test_mode_operators_match_basis_loop(k, modes):
+    dfm = deformation(k)
+    for mode in range(1, modes + 1):
+        got = [
+            ladder(dfm, modes, mode), ladder_dag(dfm, modes, mode), number_operator(dfm, modes, mode),
+            q_power_N(dfm, modes, 1, mode), q_power_N(dfm, modes, -1, mode),
+        ]
+        for op, ref in zip(got, loop_mode_operators(dfm, modes, mode)):
+            # equal bit for bit, signed zeros included
+            parts, ref_parts = np.stack([op.mat.real, op.mat.imag]), np.stack([ref.real, ref.imag])
+            assert np.array_equal(parts, ref_parts)
+            assert np.array_equal(np.signbit(parts), np.signbit(ref_parts))
 
 
 def test_deformed_commutator(dfm):

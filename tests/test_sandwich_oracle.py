@@ -85,6 +85,25 @@ def test_quantize_of_zero_symbol():
         assert quantize(ParaPoly.zero(dfm, 2), ordering).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("k", [4, 8, 12, 16, 24, 32])
+def test_mode_table_matches_sandwich_entries(k):
+    # T[s, t, n] is entry (n, n + s - t) of the sandwich of theta^s bartheta^t,
+    # and zero where that column leaves the matrix
+    dfm = deformation(k)
+    kp = dfm.kprime
+    ket = coherent_ket(dfm, 1).components
+    cols = [multiply_prescription(weight(dfm, 1), comp) for comp in coherent_bra(dfm, 1).components]
+    table = mode_table(dfm)
+    for s, t, n in itertools.product(range(kp), repeat=3):
+        m = n + s - t
+        if not 0 <= m < kp:
+            assert table[s, t, n] == 0.0
+            continue
+        row = multiply_prescription(ket[n], ParaPoly.monomial(dfm, 1, (s,), (t,)))
+        entry = berezin_prescription_product(row, cols[m])
+        assert abs(table[s, t, n] - entry) <= 1e-14 * max(abs(entry), 1.0), (s, t, n)
+
+
 def test_mode_table_is_cached_and_read_only():
     dfm = deformation(10)
     table = mode_table(dfm)
