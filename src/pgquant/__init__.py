@@ -54,9 +54,7 @@ from .quantization import (
     verify_relations,
 )
 from .symbols import (
-    coherent_overlap,
     lower_symbol,
-    lower_symbol_by_pairing,
     moyal_star,
     quaternion_demo,
     round_trip_residuals,
@@ -83,7 +81,6 @@ __all__ = [
     "check_ordering_products",
     "coherent_bra",
     "coherent_ket",
-    "coherent_overlap",
     "deformation",
     "derivative",
     "eval_expression",
@@ -93,7 +90,6 @@ __all__ = [
     "ladder",
     "ladder_dag",
     "lower_symbol",
-    "lower_symbol_by_pairing",
     "mode_table",
     "moyal_star",
     "multiply",

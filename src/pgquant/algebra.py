@@ -30,14 +30,17 @@ Two products coexist and must never be conflated:
 
 from __future__ import annotations
 
-import cmath
-import itertools
+import math
+import operator
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
-from .qnum import Deformation, qfactorial
+from .qnum import Deformation, factorials
 
 __all__ = [
     "FactorWord",
@@ -53,15 +56,28 @@ __all__ = [
     "weight",
     "inner_product",
     "pseudo_norm_sq",
-    "top_monomial",
     "random_poly",
     "poly_to_dict",
     "poly_from_dict",
+    "check_size",
 ]
 
 # Upper bound on the pairs handled at once: term pairs in ``multiply``,
 # (term, basis state) pairs in ``quantize``.  Memory stays O(block + output).
 _PAIRS_PER_BLOCK = 1 << 13
+# Below this many term pairs ``multiply`` works in Python scalars: numpy's
+# fixed cost per call exceeds the work.
+_FEW_PAIRS = 32
+
+
+def check_size(dfm: Deformation, modes: int) -> None:
+    """Refuse a dense (k/2)^modes square complex matrix larger than physical
+    memory; a coefficient tensor on ``modes`` modes has as many entries.
+    Compared in log2, so a huge ``modes`` costs nothing."""
+    kp = dfm.kprime
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if modes >= 1 and 4 + 2 * modes * math.log2(kp) > math.log2(memory):  # 16 bytes an entry
+        raise ValueError(f"a {kp}^{modes} x {kp}^{modes} complex matrix exceeds {memory / 2**30:.1f} GiB of memory")
 
 
 @dataclass(frozen=True)
@@ -113,37 +129,41 @@ def q_powers(dfm: Deformation) -> np.ndarray:
 class ParaPoly:
     """Polynomial in the nilpotent q-commuting generators, stored canonically.
 
-    ``terms`` maps monomial keys ``(theta, bar)`` -- two length-``d`` tuples
-    of exponents, each in ``0..kprime-1`` -- to complex coefficients.  The
-    key encodes the canonical word theta_1^a1 .. theta_d^ad bartheta_1^b1 ..
-    bartheta_d^bd.  Treat ``terms`` as read-only; all operations return new
-    polynomials.  Exact zeros are dropped and every other coefficient is
-    kept, however small: a tiny upper-symbol coefficient can still multiply
-    a matrix entry of order [k'-1]!.  A non-finite coefficient raises
-    ``ValueError``.
+    ``coeffs`` is a read-only complex array of shape ``(kprime,) * 2d``
+    whose entry ``[a_1 .. a_d, b_1 .. b_d]`` is the coefficient of the word
+    theta_1^a1 .. theta_d^ad bartheta_1^b1 .. bartheta_d^bd; it has as many
+    entries as the quantized matrix.  The constructor copies such an array
+    or reads a dict ``{(theta, bar): c}``.  No coefficient is pruned,
+    however small: a tiny upper-symbol coefficient can still multiply a
+    matrix entry of order [k'-1]!.  A non-finite one raises ``ValueError``.
     """
 
-    __slots__ = ("dfm", "d", "terms")
+    __slots__ = ("dfm", "d", "coeffs")
 
-    def __init__(self, dfm: Deformation, d: int, terms: dict | None = None):
+    def __init__(self, dfm: Deformation, d: int, terms: dict | np.ndarray | None = None):
         if d < 1:
             raise ValueError(f"mode count must be >= 1, got {d}")
+        if isinstance(terms, np.ndarray):  # allocated already, so no size guard
+            if terms.ndim != 2 * d or terms.shape != (dfm.kprime,) * terms.ndim:
+                raise ValueError(f"coefficient array of shape {terms.shape}, expected ({dfm.kprime},) * {2 * d}")
+            coeffs = np.array(terms, dtype=complex, order="C")
+        else:
+            check_size(dfm, d)
+            coeffs = np.zeros((dfm.kprime,) * (2 * d), dtype=complex)
+            for (theta, bar), c in (terms or {}).items():
+                key = tuple(theta) + tuple(bar)
+                if len(theta) != d or len(bar) != d:
+                    raise ValueError(f"monomial arity {len(theta)}/{len(bar)} does not match d={d}")
+                if any(not 0 <= p < dfm.kprime for p in key):
+                    raise ValueError(f"exponents must lie in 0..{dfm.kprime - 1}: {(theta, bar)}")
+                coeffs[key] = complex(c)
+        finite = np.isfinite(coeffs)
+        if np.count_nonzero(finite) != finite.size:
+            raise ValueError(f"non-finite coefficient at exponent row {np.argwhere(~finite)[0].tolist()}")
+        coeffs.setflags(write=False)
         self.dfm = dfm
         self.d = d
-        cleaned: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-        for (theta, bar), c in (terms or {}).items():
-            theta = tuple(theta)
-            bar = tuple(bar)
-            if len(theta) != d or len(bar) != d:
-                raise ValueError(f"monomial arity {len(theta)}/{len(bar)} does not match d={d}")
-            if any(not 0 <= p < dfm.kprime for p in theta + bar):
-                raise ValueError(f"exponents must lie in 0..{dfm.kprime - 1}: {(theta, bar)}")
-            c = complex(c)
-            if c != 0:
-                if not cmath.isfinite(c):
-                    raise ValueError(f"non-finite coefficient {c} at {(theta, bar)}")
-                cleaned[(theta, bar)] = c
-        self.terms = cleaned
+        self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------
 
@@ -153,8 +173,7 @@ class ParaPoly:
 
     @classmethod
     def constant(cls, dfm: Deformation, d: int, value: complex) -> "ParaPoly":
-        zeros = (0,) * d
-        return cls(dfm, d, {(zeros, zeros): complex(value)})
+        return cls.monomial(dfm, d, (0,) * d, (0,) * d, value)
 
     @classmethod
     def unit(cls, dfm: Deformation, d: int = 1) -> "ParaPoly":
@@ -175,18 +194,19 @@ class ParaPoly:
 
     # -- basic queries -------------------------------------------------
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The terms as exponent rows ``(theta_1..theta_d, bar_1..bar_d)``, an
-        int64 array of shape (terms, 2d), and their complex coefficients."""
-        n, width = len(self.terms), 2 * self.d
-        expo = np.fromiter(itertools.chain.from_iterable(a + b for a, b in self.terms), np.int64, n * width)
-        return expo.reshape(n, width), np.fromiter(self.terms.values(), complex, n)
+    @property
+    def terms(self) -> Mapping:
+        """Read-only view ``{(theta, bar): c}`` of the nonzero coefficients:
+        tuples of Python ints, in row-major order, which is sorted order."""
+        d = self.d
+        rows, vals = _nonzero(self.coeffs)
+        return MappingProxyType({(tuple(r[:d]), tuple(r[d:])): c for r, c in zip(rows.tolist(), vals.tolist())})
 
     def coefficient(self, theta, bar) -> complex:
         return self.terms.get((tuple(theta), tuple(bar)), 0.0 + 0.0j)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+        return bool((np.abs(self.coeffs) <= tol).all())
 
     def _check_compatible(self, other: "ParaPoly") -> None:
         if self.dfm != other.dfm:
@@ -200,10 +220,7 @@ class ParaPoly:
         if not isinstance(other, ParaPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return ParaPoly(self.dfm, self.d, out)
+        return ParaPoly(self.dfm, self.d, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "ParaPoly") -> "ParaPoly":
         if not isinstance(other, ParaPoly):
@@ -211,11 +228,10 @@ class ParaPoly:
         return self + (-other)
 
     def __neg__(self) -> "ParaPoly":
-        return ParaPoly(self.dfm, self.d, {k: -c for k, c in self.terms.items()})
+        return ParaPoly(self.dfm, self.d, -self.coeffs)
 
     def scale(self, value: complex) -> "ParaPoly":
-        value = complex(value)
-        return ParaPoly(self.dfm, self.d, {k: value * c for k, c in self.terms.items()})
+        return ParaPoly(self.dfm, self.d, complex(value) * self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, ParaPoly):
@@ -239,51 +255,53 @@ class ParaPoly:
         theta_d^b_d .. theta_1^b_1 bartheta_d^a_d .. bartheta_1^a_1, and
         sorting each block back into increasing mode order gives
         e = -sum_{i>j} (a_i a_j + b_i b_j), the quadratic forms of the two
-        diagonal blocks of ``phase_matrix``.  On a single mode e = 0, so
-        theta^s bartheta^t maps to theta^t bartheta^s with no phase.
+        diagonal blocks of ``phase_matrix``; it is symmetric in (a, b).  On a
+        single mode e = 0, so theta^s bartheta^t maps to theta^t bartheta^s
+        with no phase.
         """
         d = self.d
-        x, coeffs = self.arrays()
-        zero = np.zeros_like(x[:, :d])
-        theta, bar = np.hstack([x[:, :d], zero]), np.hstack([zero, x[:, d:]])
-        e = product_phase(theta, theta) + product_phase(bar, bar)
-        vals = coeffs.conj() * q_powers(self.dfm)[e % self.dfm.kprime]
-        return ParaPoly(self.dfm, d, {(r[d:], r[:d]): c for r, c in zip(map(tuple, x.tolist()), vals.tolist())})
+        swapped = self.coeffs.transpose(*range(d, 2 * d), *range(d))
+        return ParaPoly(self.dfm, d, swapped.conj() * _conjugation_phase(self.dfm, d))
 
     # -- comparison helpers ----------------------------------------------
 
     def distance(self, other: "ParaPoly") -> float:
-        """Largest coefficient difference over the union of monomials."""
+        """Largest coefficient difference over all monomials."""
         self._check_compatible(other)
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys)
+        return float(np.abs(self.coeffs - other.coeffs).max())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParaPoly):
             return NotImplemented
-        return self.dfm == other.dfm and self.d == other.d and self.terms == other.terms
+        return self.dfm == other.dfm and self.d == other.d and bool(np.array_equal(self.coeffs, other.coeffs))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for (theta, bar), c in sorted(self.terms.items()):
-                gens = []
-                for i, p in enumerate(theta):
-                    if p:
-                        gens.append(f"th{i + 1}" + (f"^{p}" if p > 1 else ""))
-                for i, p in enumerate(bar):
-                    if p:
-                        gens.append(f"bth{i + 1}" + (f"^{p}" if p > 1 else ""))
-                mono = "*".join(gens) if gens else "1"
-                parts.append(f"({c:.4g})*{mono}")
-            body = " + ".join(parts)
-        return f"ParaPoly(k={self.dfm.k}, d={self.d}: {body})"
+        names = [f"th{i + 1}" for i in range(self.d)] + [f"bth{i + 1}" for i in range(self.d)]
+        parts = []
+        for (theta, bar), c in self.terms.items():
+            gens = [name + (f"^{p}" if p > 1 else "") for name, p in zip(names, theta + bar) if p]
+            parts.append(f"({c:.4g})*{'*'.join(gens) or '1'}")
+        return f"ParaPoly(k={self.dfm.k}, d={self.d}: {' + '.join(parts) or '0'})"
+
+
+def _nonzero(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows (terms, 2d) of the nonzero entries, row-major, and their values."""
+    rows = np.argwhere(coeffs)
+    return rows, coeffs[tuple(rows.T)]
+
+
+@lru_cache(maxsize=None)
+def _conjugation_phase(dfm: Deformation, d: int) -> np.ndarray:
+    """q_k^e at every exponent row (a, b), with e = -sum_{i>j} (a_i a_j +
+    b_i b_j) as in ``ParaPoly.conjugate``.  Cached, read-only."""
+    shape, w = (dfm.kprime,) * (2 * d), phase_matrix(d)
+    theta, bar = np.indices(shape).reshape(2, d, -1).transpose(0, 2, 1)  # exponent rows
+    e = ((theta @ w[:d, :d]) * theta).sum(-1) + ((bar @ w[d:, d:]) * bar).sum(-1)
+    out = q_powers(dfm)[e % dfm.kprime].reshape(shape)
+    out.setflags(write=False)
+    return out
 
 
 def canonicalize_q(word: FactorWord, dfm: Deformation, modes: int | None = None) -> ParaPoly:
@@ -301,72 +319,77 @@ def multiply(p1: ParaPoly, p2: ParaPoly) -> ParaPoly:
     """Algebra product, bilinear over term pairs: x^a x^b = q_k**(a^T W b)
     x^(a + b), with pairs whose exponent sum reaches ``kprime`` dropped.
     Order matters."""
-    p1._check_compatible(p2)
-    dfm, d, kp = p1.dfm, p1.d, p1.dfm.kprime
-    x, a = p1.arrays()
-    y, b = p2.arrays()
-    q = q_powers(dfm)
-    acc: dict = {}
-    block = max(1, _PAIRS_PER_BLOCK // max(1, len(y)))
-    for lo in range(0, len(x), block):
-        xs = x[lo:lo + block]
-        z = xs[:, None, :] + y
-        i, j = np.nonzero((z < kp).all(-1))
-        vals = a[lo + i] * b[j] * q[product_phase(xs[i], y[j]) % kp]
-        for key, v in zip(map(tuple, z[i, j].tolist()), vals.tolist()):
-            acc[key] = acc.get(key, 0) + v
-    return ParaPoly(dfm, d, {(key[:d], key[d:]): c for key, c in acc.items()})
+    return _pair_product(p1, p2, twisted=True)
 
 
 def multiply_prescription(p1: ParaPoly, p2: ParaPoly) -> ParaPoly:
     """Phase-free product used inside integral kernels: exponents add, the
     coefficients just multiply, overflowing monomials drop out."""
+    return _pair_product(p1, p2, twisted=False)
+
+
+def _pair_product(p1: ParaPoly, p2: ParaPoly, twisted: bool) -> ParaPoly:
+    """Sum over pairs of nonzero terms whose exponents add up to less than
+    ``kprime`` on every axis, times q_k**(a^T W b) when ``twisted``; each
+    pair lands at the sum of the two row-major flat indices."""
     p1._check_compatible(p2)
-    kp = p1.dfm.kprime
-    acc: dict = {}
-    for (t1, b1), c1 in p1.terms.items():
-        for (t2, b2), c2 in p2.terms.items():
-            theta = tuple(a + b for a, b in zip(t1, t2))
-            if any(p >= kp for p in theta):
-                continue
-            bar = tuple(a + b for a, b in zip(b1, b2))
-            if any(p >= kp for p in bar):
-                continue
-            key = (theta, bar)
-            acc[key] = acc.get(key, 0.0) + c1 * c2
-    return ParaPoly(p1.dfm, p1.d, acc)
+    dfm, kp, shape = p1.dfm, p1.dfm.kprime, p1.coeffs.shape
+    c1, c2 = p1.coeffs.ravel(), p2.coeffs.ravel()
+    fx, fy = c1.nonzero()[0], c2.nonzero()[0]
+    w = phase_matrix(p1.d)
+    out = np.zeros(c1.size, dtype=complex)
+    if len(fx) * len(fy) <= _FEW_PAIRS:
+        q, wt = q_powers(dfm).tolist(), w.T.tolist()
+        right = [(g, _digits(g, shape), c) for g, c in zip(fy.tolist(), c2[fy].tolist())]
+        for f, c in zip(fx.tolist(), c1[fx].tolist()):
+            x = _digits(f, shape)
+            xw = [sum(map(operator.mul, x, col)) for col in wt]
+            for g, y, c_ in right:
+                if all(u + v < kp for u, v in zip(x, y)):
+                    out[f + g] += c * c_ * q[sum(map(operator.mul, xw, y)) % kp] if twisted else c * c_
+        return ParaPoly(dfm, p1.d, out.reshape(shape))
+    place = kp ** np.arange(len(shape) - 1, -1, -1)[:, None]
+    x, y = fx // place % kp, fy // place % kp  # exponent rows, one column per term
+    small = np.min_scalar_type(kp - 1)  # the pair test reads 2d bytes per pair, not 16d
+    room, right, xw = (kp - 1 - x).astype(small), y.astype(small), w.T @ x
+    a, b = c1[fx], c2[fy]
+    block = max(1, _PAIRS_PER_BLOCK // len(fy))
+    for lo in range(0, len(fx), block):
+        i, j = np.nonzero((right[:, None, :] <= room[:, lo:lo + block, None]).all(0))
+        i += lo
+        vals = a[i] * b[j]
+        if twisted:
+            vals *= q_powers(dfm)[(xw[:, i] * y[:, j]).sum(0) % kp]
+        np.add.at(out, fx[i] + fy[j], vals)
+    return ParaPoly(dfm, p1.d, out.reshape(shape))
 
 
-def top_monomial(dfm: Deformation, d: int = 1) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Monomial key of maximal degree: every exponent equal to kprime - 1."""
-    full = (dfm.kprime - 1,) * d
-    return (full, full)
+def _digits(flat: int, shape: tuple[int, ...]) -> list[int]:
+    """Exponent row of a row-major flat index."""
+    row = []
+    for size in reversed(shape):
+        flat, digit = divmod(flat, size)
+        row.append(digit)
+    return row[::-1]
 
 
 def berezin_full_integral(p: ParaPoly) -> complex:
     """Top-coefficient extraction: the integral over every generator pair.
 
     Returns the coefficient of theta_1^(k'-1) .. theta_d^(k'-1)
-    bartheta_1^(k'-1) .. bartheta_d^(k'-1) in the canonical form; all lower
-    monomials integrate to zero.
+    bartheta_1^(k'-1) .. bartheta_d^(k'-1), the last entry of the
+    coefficient tensor; all lower monomials integrate to zero.
     """
-    return p.terms.get(top_monomial(p.dfm, p.d), 0.0 + 0.0j)
+    return complex(p.coeffs.flat[-1])
 
 
 def berezin_prescription_product(p1: ParaPoly, p2: ParaPoly) -> complex:
     """``berezin_full_integral(multiply_prescription(p1, p2))`` without
     building the product: monomials pair exactly when their exponents are
-    complementary."""
+    complementary, and complementing every exponent of a row-major tensor
+    reverses its flat order."""
     p1._check_compatible(p2)
-    kp1 = p1.dfm.kprime - 1
-    other = p2.terms
-    total = 0.0 + 0.0j
-    for (theta, bar), c in p1.terms.items():
-        comp = (tuple(kp1 - p for p in theta), tuple(kp1 - p for p in bar))
-        c2 = other.get(comp)
-        if c2 is not None:
-            total += c * c2
-    return total
+    return complex(p1.coeffs.ravel() @ p2.coeffs.ravel()[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -379,14 +402,8 @@ def weight(dfm: Deformation, modes: int = 1) -> ParaPoly:
     read-only (it is cached).
     """
     kp = dfm.kprime
-    terms: dict = {}
-    for ns in itertools.product(range(kp), repeat=modes):
-        coeff = 1.0
-        for n in ns:
-            coeff *= qfactorial(n, dfm)
-        expo = tuple(kp - 1 - n for n in ns)
-        terms[(expo, expo)] = complex(coeff)
-    return ParaPoly(dfm, modes, terms)
+    diagonal = reduce(np.multiply.outer, [factorials(dfm)[::-1]] * modes).ravel()
+    return ParaPoly(dfm, modes, np.diag(diagonal).reshape((kp,) * (2 * modes)))
 
 
 def inner_product(v: ParaPoly, v2: ParaPoly) -> complex:
@@ -413,37 +430,29 @@ def random_poly(dfm: Deformation, rng, modes: int = 1, full: bool = True) -> Par
     """Random polynomial with coefficients uniform in [-1, 1]^2.
 
     ``full=True`` fills every monomial; otherwise only the subspace
-    spanned by 1, theta_i^n and bartheta_i^n (the positive-norm sector).
+    spanned by 1, theta_i^n and bartheta_i^n (the positive-norm sector),
+    drawn in the order 1, then theta_i^n, bartheta_i^n for each i and n.
     """
     kp = dfm.kprime
-    terms: dict = {}
-
-    def _coeff():
-        return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-
+    shape = (kp,) * (2 * modes)
     if full:
-        for theta in itertools.product(range(kp), repeat=modes):
-            for bar in itertools.product(range(kp), repeat=modes):
-                terms[(theta, bar)] = _coeff()
-    else:
-        zeros = (0,) * modes
-        terms[(zeros, zeros)] = _coeff()
-        for i in range(modes):
-            for n in range(1, kp):
-                theta = tuple(n if j == i else 0 for j in range(modes))
-                terms[(theta, zeros)] = _coeff()
-                terms[(zeros, theta)] = _coeff()
-    return ParaPoly(dfm, modes, terms)
+        return ParaPoly(dfm, modes, rng.uniform(-1.0, 1.0, shape + (2,)).view(complex)[..., 0])
+    draws = rng.uniform(-1.0, 1.0, (1 + 2 * modes * (kp - 1), 2)).view(complex)[:, 0]
+    coeffs = np.zeros(shape, dtype=complex)
+    coeffs[(0,) * (2 * modes)] = draws[0]
+    sector = draws[1:].reshape(modes, kp - 1, 2)
+    for i in range(modes):
+        for barred in (0, 1):
+            where = [0] * (2 * modes)
+            where[barred * modes + i] = slice(1, None)
+            coeffs[tuple(where)] = sector[i, :, barred]
+    return ParaPoly(dfm, modes, coeffs)
 
 
 def poly_to_dict(p: ParaPoly) -> dict:
     """JSON-ready form: ``{"k", "d", "terms": [{"theta", "bar", "re", "im"}]}``
     with terms sorted by monomial key for stable output."""
-    terms = []
-    for (theta, bar), c in sorted(p.terms.items()):
-        terms.append(
-            {"theta": list(theta), "bar": list(bar), "re": float(c.real), "im": float(c.imag)}
-        )
+    terms = [{"theta": list(t), "bar": list(b), "re": c.real, "im": c.imag} for (t, b), c in p.terms.items()]
     return {"k": p.dfm.k, "d": p.d, "terms": terms}
 
 

@@ -9,12 +9,10 @@ satisfy the same q-deformed commutation relations as the matrices.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import ParaPoly
-from .qnum import Deformation, qfactorial, qnumber
+from .qnum import Deformation, factorials, qnumber
 
 __all__ = [
     "to_bargmann",
@@ -27,9 +25,14 @@ __all__ = [
 def _check_theta_only(p: ParaPoly, what: str) -> None:
     if p.d != 1:
         raise ValueError(f"{what} supports a single mode only (got d={p.d})")
-    for (_, bar) in p.terms:
-        if bar != (0,):
-            raise ValueError(f"{what} expects a polynomial in theta only (found a barred factor)")
+    if p.coeffs[:, 1:].any():
+        raise ValueError(f"{what} expects a polynomial in theta only (found a barred factor)")
+
+
+def _theta_only(dfm: Deformation, column: np.ndarray) -> ParaPoly:
+    coeffs = np.zeros((dfm.kprime, dfm.kprime), dtype=complex)
+    coeffs[:, 0] = column
+    return ParaPoly(dfm, 1, coeffs)
 
 
 def to_bargmann(psi, dfm: Deformation) -> ParaPoly:
@@ -37,22 +40,13 @@ def to_bargmann(psi, dfm: Deformation) -> ParaPoly:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dfm.kprime,):
         raise ValueError(f"vector length {psi.shape} does not match k'={dfm.kprime}")
-    terms = {}
-    for n, c in enumerate(psi):
-        if c != 0:
-            terms[((n,), (0,))] = c / math.sqrt(qfactorial(n, dfm))
-    return ParaPoly(dfm, 1, terms)
+    return _theta_only(dfm, psi / np.sqrt(factorials(dfm)))
 
 
 def from_bargmann(p: ParaPoly) -> np.ndarray:
     """Recover the Fock components from a theta-only polynomial."""
     _check_theta_only(p, "from_bargmann")
-    dfm = p.dfm
-    out = np.zeros(dfm.kprime, dtype=complex)
-    for (theta, _), c in p.terms.items():
-        n = theta[0]
-        out[n] = c * math.sqrt(qfactorial(n, dfm))
-    return out
+    return p.coeffs[:, 0] * np.sqrt(factorials(p.dfm))
 
 
 def derivative(p: ParaPoly) -> ParaPoly:
@@ -64,24 +58,12 @@ def derivative(p: ParaPoly) -> ParaPoly:
     Nilpotent of order kprime.
     """
     _check_theta_only(p, "derivative")
-    dfm = p.dfm
-    terms = {}
-    for (theta, _), c in p.terms.items():
-        n = theta[0]
-        if n > 0:
-            key = ((n - 1,), (0,))
-            terms[key] = terms.get(key, 0.0) + qnumber(n, dfm) * c
-    return ParaPoly(dfm, 1, terms)
+    numbers = np.array([qnumber(n, p.dfm) for n in range(1, p.dfm.kprime)] + [0.0])
+    return _theta_only(p.dfm, numbers * np.roll(p.coeffs[:, 0], -1))
 
 
 def multiply_theta(p: ParaPoly) -> ParaPoly:
     """Multiplication by theta with nilpotent truncation:
     theta^(kprime-1) is sent to zero.  Transports the raising matrix."""
     _check_theta_only(p, "multiply_theta")
-    dfm = p.dfm
-    terms = {}
-    for (theta, _), c in p.terms.items():
-        n = theta[0]
-        if n + 1 < dfm.kprime:
-            terms[((n + 1,), (0,))] = c
-    return ParaPoly(dfm, 1, terms)
+    return _theta_only(p.dfm, np.concatenate([[0.0], p.coeffs[:-1, 0]]))

@@ -19,11 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import expr as expr_mod
-from .algebra import ParaPoly, poly_to_dict
+from .algebra import ParaPoly, check_size, poly_to_dict
 from .qnum import deformation
 from .quantization import (
     FockOperator,
@@ -102,14 +101,6 @@ def _parse_poly(text: str, k: int, modes: int) -> ParaPoly:
     dfm = deformation(k)
     ast = expr_mod.parse(text, modes)
     return expr_mod.eval_expression(ast, dfm, modes)
-
-
-def _check_size(k: int, modes: int) -> None:
-    """Refuse a dense (k/2)^modes square complex matrix larger than physical memory."""
-    kp = deformation(k).kprime
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if modes >= 1 and 4 + 2 * modes * math.log2(kp) > math.log2(memory):  # 16 bytes an entry
-        raise ValueError(f"a {kp}^{modes} x {kp}^{modes} complex matrix exceeds {memory / 2**30:.1f} GiB of memory")
 
 
 def _cmd_verify(args) -> int:
@@ -193,10 +184,17 @@ def _cmd_demo(args) -> int:
     return _emit_report(report, args.format)
 
 
-def _trial_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -206,7 +204,7 @@ def _add_k(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _add_modes(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--modes", type=int, default=1, help="number of generator pairs")
+    p.add_argument("--modes", type=_positive_int, default=1, help="number of generator pairs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the identity checks for one deformation order")
     _add_k(p)
     _add_modes(p)
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--trials", type=_trial_count, default=20,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    p.add_argument("--trials", type=_positive_int, default=20,
                    help="random instances for the sampled checks")
     p.set_defaults(handler=_cmd_verify)
 
@@ -265,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", parents=[common], help="worked examples")
     p.add_argument("name", choices=("quaternion",))
-    p.add_argument("--trials", type=_trial_count, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
     p.set_defaults(handler=_cmd_demo)
 
     return parser
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if "modes" in vars(args):  # before any basis or matrix is built
-            _check_size(args.k, args.modes)
+            check_size(deformation(args.k), args.modes)
         return args.handler(args)
     except expr_mod.ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

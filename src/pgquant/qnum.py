@@ -5,8 +5,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-__all__ = ["Deformation", "deformation", "qnumber", "qfactorial"]
+import numpy as np
+
+__all__ = ["Deformation", "deformation", "qnumber", "qfactorial", "factorials"]
 
 
 @dataclass(frozen=True)
@@ -73,4 +76,13 @@ def qfactorial(n: int, dfm: Deformation) -> float:
     out = 1.0
     for j in range(1, n + 1):
         out *= qnumber(j, dfm)
+    return out
+
+
+@lru_cache(maxsize=None)
+def factorials(dfm: Deformation) -> np.ndarray:
+    """``[n]!`` for n = 0 .. kprime - 1, each from ``qfactorial``.  Cached
+    per deformation, read-only."""
+    out = np.array([qfactorial(n, dfm) for n in range(dfm.kprime)])
+    out.setflags(write=False)
     return out

@@ -12,7 +12,8 @@ of that kernel, gives every matrix: the term c theta^s bartheta^t sends |n>
 to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
 orderings differ only by a phase q_k^e on that amplitude:
 
-* antinormal -- the kernel is merged by the phase-free prescription, e = 0;
+* antinormal -- the kernel is merged by the phase-free prescription, e = 0,
+  so the map is ``gather_contract`` of the coefficient tensor, mode by mode;
 * left / right -- the kernel is the algebra product of the words ket_n, f,
   w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
   completing the top degree; e sums ``product_phase`` of
@@ -30,21 +31,20 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .algebra import (
     _PAIRS_PER_BLOCK,
     ParaPoly,
-    berezin_prescription_product,
-    multiply_prescription,
+    _nonzero,
     product_phase,
     q_powers,
     random_poly,
     weight,
 )
-from .qnum import Deformation, qfactorial, qnumber
+from .qnum import Deformation, factorials, qfactorial, qnumber
 
 __all__ = [
     "Ordering",
@@ -56,6 +56,7 @@ __all__ = [
     "coherent_bra",
     "resolution_of_unity",
     "mode_table",
+    "gather_contract",
     "quantize",
     "ladder",
     "ladder_dag",
@@ -201,20 +202,16 @@ def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
     """Integrate ket (x) weight (x) bra under the phase-free prescription.
 
     Entry (n, m) is the full integral of the prescription-ordered product
-    of ket component n, the weight, and bra component m.  The result must
-    be the identity matrix; returning it (rather than asserting) lets the
-    caller measure the residual.
+    of ket component n, the weight, and bra component m.  Both components
+    are monomials, so only the weight term theta^(k'-1-n) bartheta^(k'-1-m)
+    reaches the top degree: the entry is its coefficient over
+    sqrt([n]! [m]!).  The result must be the identity matrix; returning it
+    (rather than asserting) lets the caller measure the residual.
     """
-    ket = coherent_ket(dfm, modes)
-    bra = coherent_bra(dfm, modes)
-    w = weight(dfm, modes)
-    cols = [multiply_prescription(w, comp) for comp in bra.components]
     dim = dfm.kprime**modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for n, row in enumerate(ket.components):
-        for m, col in enumerate(cols):
-            out[n, m] = berezin_prescription_product(row, col)
-    return FockOperator(dfm, modes, out)
+    norm = 1.0 / np.sqrt(reduce(np.multiply.outer, [factorials(dfm)] * modes).ravel())
+    flipped = weight(dfm, modes).coeffs.reshape(dim, dim)[::-1, ::-1]
+    return FockOperator(dfm, modes, norm[:, None] * flipped * norm)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +226,7 @@ def mode_table(dfm: Deformation) -> np.ndarray:
     real, so the table is float64.
     """
     kp = dfm.kprime
-    fac = np.array([qfactorial(n, dfm) for n in range(kp)])
+    fac = factorials(dfm)
     s, t, n = np.ogrid[:kp, :kp, :kp]
     top, col = n + s, n + s - t
     reach = (top < kp) & (col >= 0)
@@ -238,24 +235,60 @@ def mode_table(dfm: Deformation) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
+    """``mode_table`` read by ``gather_contract``: entry (n, m) sums
+    coefficient (s, t) times T[s, t, n] along the diagonal s - t = m - n,
+    from its first entry, so the sums for (n, m) and (m, n) run in the same
+    order and the image of the conjugate is exactly the adjoint.  Cached."""
+    kp = dfm.kprime
+    n, m, j = np.ogrid[:kp, :kp, :kp]
+    s, t = j + np.maximum(m - n, 0), j + np.maximum(n - m, 0)
+    inside = (s < kp) & (t < kp)
+    s, t = s.clip(max=kp - 1), t.clip(max=kp - 1)
+    index, weight_ = s * kp + t, np.where(inside, mode_table(dfm)[s, t, n], 0.0)
+    for table in (index, weight_):
+        table.setflags(write=False)
+    return index, weight_
+
+
+def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
+    """Apply one single-mode map to every mode of a (kprime,) * 2d tensor.
+
+    Mode i owns axes i and d + i (theta_i, bartheta_i, or row n_i, column
+    m_i).  With the axis pair (u, v) read as the flat index u * kprime + v,
+    out[a, b] = sum_j weight_[a, b, j] * x[index[a, b, j]], one mode at a
+    time: kprime^3 table entries, never a kprime^4 kernel.
+    """
+    d, kp = x.ndim // 2, x.shape[0]
+    pairs = x.transpose(np.arange(2 * d).reshape(2, d).T.ravel()).reshape((kp * kp,) * d)
+    for _ in range(d):  # contract the last mode, then rotate it to the front
+        pairs = np.moveaxis((pairs[..., index] * weight_).sum(-1).reshape(pairs.shape), -1, 0)
+    out = pairs.reshape((kp,) * (2 * d)).transpose(np.arange(2 * d).reshape(d, 2).T.ravel())
+    return np.add(out, 0.0, order="C")  # a sum of -0 terms would print as -0
+
+
 def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> FockOperator:
     """Map a polynomial symbol to its matrix by coherent-state sandwiching.
 
     Entry (n, m) integrates ket_n * f * weight * bra_m.  For the
     antinormal ordering the whole kernel is merged by the phase-free
-    prescription.  For ``left``/``right`` the symbol is kept to the left /
-    right of the weight and the kernel is reduced with genuine q-phases,
-    so the three orderings generally quantize the same symbol differently.
-    Every entry is read from ``mode_table``; see the module docstring.
+    prescription and factorizes over the modes, one ``gather_contract``
+    with ``mode_table``.  For ``left``/``right`` the symbol is kept to the
+    left / right of the weight and the kernel is reduced with genuine
+    q-phases, which couple the modes, so each term is placed with its own
+    phase.  See the module docstring.
     """
     if isinstance(ordering, str):
         ordering = Ordering(ordering)
     dfm, d, kp = f.dfm, f.d, f.dfm.kprime
     dim = kp**d
+    if ordering is Ordering.ANTINORMAL:
+        return FockOperator(dfm, d, gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim))
     table = mode_table(dfm).ravel()
     states = np.array(basis_tuples(dfm, d), dtype=np.int64)
     place = kp ** np.arange(d - 1, -1, -1)
-    expo, coeffs = f.arrays()
+    expo, coeffs = _nonzero(f.coeffs)
     theta, bar = expo[:, :d], expo[:, d:]
     flat = np.zeros(dim * dim, dtype=complex)
     block = max(1, _PAIRS_PER_BLOCK // dim)
@@ -266,15 +299,13 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
             amp *= table[st[:, None] + states[:, i]]
         term, row = np.nonzero(amp)
         index = row * (dim + 1) + ((s - t) @ place)[term]
-        vals = coeffs[lo + term] * amp[term, row]
-        if ordering is not Ordering.ANTINORMAL:
-            n, s, t = states[row], s[term], t[term]
-            none = np.zeros_like(n)
-            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
-            w = np.tile(kp - 1 - n - s, 2)
-            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
-            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
-            vals = vals * q_powers(dfm)[e % kp]
+        n, s, t = states[row], s[term], t[term]
+        none = np.zeros_like(n)
+        ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
+        w = np.tile(kp - 1 - n - s, 2)
+        words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
+        e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+        vals = coeffs[lo + term] * amp[term, row] * q_powers(dfm)[e % kp]
         flat += np.bincount(index, vals.real, dim * dim) + 1j * np.bincount(index, vals.imag, dim * dim)
     return FockOperator(dfm, d, flat.reshape(dim, dim))
 
@@ -316,7 +347,8 @@ def q_power_N(dfm: Deformation, modes: int = 1, sign: int = 1, mode: int = 1) ->
     """Diagonal matrix q**(sign * n_mode)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    phases = [cmath.exp(2j * math.pi * sign * n / dfm.k) for n in range(dfm.kprime)]
+    # (sign * n) % k keeps the exponent non-negative, so n = 0 gives 1 + 0j, not 1 - 0j
+    phases = [cmath.exp(2j * math.pi * ((sign * n) % dfm.k) / dfm.k) for n in range(dfm.kprime)]
     return _mode_operator(dfm, modes, mode, phases)
 
 
@@ -342,11 +374,14 @@ class RelationCheck:
 class VerificationReport:
     """Named residuals from a family of identity checks at one tolerance.
 
-    A check passes when its residual does not exceed the tolerance.
+    A check passes when its residual does not exceed the tolerance, which
+    must be finite and non-negative.
     """
 
     def __init__(self, tolerance: float = 1e-10):
         self.tolerance = float(tolerance)
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
         self.checks: list[RelationCheck] = []
 
     def add(self, name: str, residual: float) -> "VerificationReport":
@@ -484,11 +519,10 @@ def quantize_mixed_monomial(n: int, m: int, dfm: Deformation) -> FockOperator:
     kp = dfm.kprime
     if not (0 <= n <= kp - 1 and 0 <= m <= kp - 1):
         raise ValueError(f"powers must lie in 0..{kp - 1}, got n={n}, m={m}")
+    fac = factorials(dfm)
+    row = np.arange(max(0, m - n), kp - n)  # rows with top = row + n < kp and col = row + n - m >= 0
     out = np.zeros((kp, kp), dtype=complex)
-    for row in range(kp):
-        top, col = row + n, row + n - m
-        if top <= kp - 1 and col >= 0:
-            out[row, col] = qfactorial(top, dfm) / math.sqrt(qfactorial(row, dfm) * qfactorial(col, dfm))
+    out[row, row + n - m] = fac[row + n] / np.sqrt(fac[row] * fac[row + n - m])
     return FockOperator(dfm, 1, out)
 
 
@@ -562,28 +596,22 @@ def check_ordering_products(dfm: Deformation, tolerance: float = 1e-10) -> Verif
     b_L = quantize(bth, Ordering.LEFT)
     b_R = quantize(bth, Ordering.RIGHT)
 
-    def super_diag(values) -> FockOperator:
-        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), 1))
-
-    def sub_diag(values) -> FockOperator:
-        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), -1))
+    def band(values, offset: int = 0) -> FockOperator:
+        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), offset))
 
     roots = [math.sqrt(qnumber(n + 1, dfm)) for n in range(kp - 1)]
     rep.add("left-ordered lowering = antinormal lowering", a_L.residual(quantize(theta)))
     rep.add("right-ordered raising = antinormal raising", b_R.residual(quantize(bth)))
-    rep.add("left-ordered lowering matches sqrt([n+1]) superdiag", a_L.residual(super_diag(roots)))
+    rep.add("left-ordered lowering matches sqrt([n+1]) superdiag", a_L.residual(band(roots, 1)))
     rep.add(
         "right-ordered lowering matches sqrt([n+1]) q_k^(n+2) superdiag",
-        a_R.residual(super_diag([roots[n] * q_k ** (n + 2) for n in range(kp - 1)])),
+        a_R.residual(band([roots[n] * q_k ** (n + 2) for n in range(kp - 1)], 1)),
     )
-    rep.add("right-ordered raising matches sqrt([n+1]) subdiag", b_R.residual(sub_diag(roots)))
+    rep.add("right-ordered raising matches sqrt([n+1]) subdiag", b_R.residual(band(roots, -1)))
     rep.add(
         "left-ordered raising matches sqrt([n+1]) q_k^(n+2) subdiag",
-        b_L.residual(sub_diag([roots[n] * q_k ** (n + 2) for n in range(kp - 1)])),
+        b_L.residual(band([roots[n] * q_k ** (n + 2) for n in range(kp - 1)], -1)),
     )
-
-    def diag(values) -> FockOperator:
-        return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex)))
 
     # (name, product, shift, slope, offset): product = diag([n+shift] q_k^(slope*n + offset))
     nums = np.array([qnumber(n, dfm) for n in range(kp + 1)])
@@ -598,7 +626,7 @@ def check_ordering_products(dfm: Deformation, tolerance: float = 1e-10) -> Verif
         ("L(bth)@L(th) = diag([n] q_k^(n+1))", b_L @ a_L, 0, 1, 1),
         ("L(bth)@R(th) = diag([n] q_k^(2n+2))", b_L @ a_R, 0, 2, 2),
     ):
-        rep.add(name, prod.residual(diag(nums[n + shift] * q_k ** (slope * n + offset))))
+        rep.add(name, prod.residual(band(nums[n + shift] * q_k ** (slope * n + offset))))
     return rep
 
 
@@ -606,22 +634,23 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     """Check the closed forms for mixed monomials theta^n bartheta^m against
     direct quantization and against ordered operator products, plus the
     commutator expansion of [low^n, high^m] into nested first-order
-    commutators (single mode)."""
+    commutators (single mode).
+
+    The nested sums follow S_(n+1) = low S_n + X low^n (and the same over
+    high), so all n, m take O(kprime^2) matrix products.
+    """
     kp = dfm.kprime
     rep = VerificationReport(tolerance)
     low = ladder(dfm)
     high = ladder_dag(dfm)
     lows = [low.power(n).mat for n in range(kp)]
     highs = [high.power(m).mat for m in range(kp)]
-    fac = [qfactorial(n, dfm) for n in range(kp)]
-    res_int = 0.0
-    res_prod = 0.0
-    res_rev = 0.0
-    res_comm = 0.0
+    fac = factorials(dfm)
+    res_int = res_prod = res_rev = res_comm = 0.0
     base = lows[1] @ highs[1] - highs[1] @ lows[1]
+    inner = np.zeros((kp, kp), complex)  # sum_{r<m} high^r base high^(m-1-r)
     for m in range(kp):
-        # sum_r high^r @ base @ high^(m-1-r), shared by every n
-        inner = sum((highs[r] @ base @ highs[m - 1 - r] for r in range(m)), np.zeros((kp, kp), complex))
+        nested = np.zeros((kp, kp), complex)  # sum_{s<n} low^s inner low^(n-1-s)
         for n in range(kp):
             closed = quantize_mixed_monomial(n, m, dfm)
             theta = ParaPoly.monomial(dfm, 1, (n,), (m,))
@@ -631,11 +660,12 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
             res_prod = max(res_prod, float(np.max(np.abs(closed.mat - forward))))
             # Reversed product high^m @ low^n, closed form.
             rev = np.zeros((kp, kp), dtype=complex)
-            for l in range(kp - max(n, m)):
-                rev[l + m, l + n] = math.sqrt((fac[l + n] / fac[l]) * (fac[l + m] / fac[l]))
+            l = np.arange(kp - max(n, m))
+            rev[l + m, l + n] = np.sqrt((fac[l + n] / fac[l]) * (fac[l + m] / fac[l]))
             res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
-            acc = sum((lows[s] @ inner @ lows[n - 1 - s] for s in range(n)), np.zeros((kp, kp), complex))
-            res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - acc))))
+            res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - nested))))
+            nested = lows[1] @ nested + inner @ lows[n]
+        inner = highs[1] @ inner + base @ highs[m]
     rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", res_int)
     rep.add("closed mixed form = low^n @ high^m, all n,m", res_prod)
     rep.add("reversed product high^m @ low^n matches its closed form, all n,m", res_rev)

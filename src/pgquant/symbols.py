@@ -13,21 +13,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ParaPoly, multiply, q_powers, random_poly
-from .qnum import Deformation, deformation, qfactorial
+from .algebra import ParaPoly, q_powers, random_poly
+from .qnum import Deformation, deformation, factorials
 from .quantization import (
     FockOperator,
     VerificationReport,
-    coherent_bra,
-    coherent_ket,
+    gather_contract,
     mode_table,
     quantize,
 )
 
 __all__ = [
     "lower_symbol",
-    "lower_symbol_by_pairing",
-    "coherent_overlap",
     "upper_symbol",
     "moyal_star",
     "round_trip_residuals",
@@ -52,35 +49,10 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
     _require_single_mode(op.d, "lower_symbol")
     dfm = op.dfm
     kp = dfm.kprime
-    fac = np.array([qfactorial(n, dfm) for n in range(kp)])
+    fac = factorials(dfm)
     nb, n = np.ogrid[:kp, :kp]
     coeffs = q_powers(dfm)[(-n * nb) % kp] * op.mat / np.sqrt(fac[nb] * fac[n])
-    return ParaPoly(dfm, 1, {((j,), (i,)): coeffs[i, j] for i in range(kp) for j in range(kp)})
-
-
-def lower_symbol_by_pairing(op: FockOperator) -> ParaPoly:
-    """Same expectation computed the long way: multiply bra component nb by
-    ket component n in the algebra (picking up the q-phases) and weight by
-    the matrix entry.  Used as an independent cross-check of
-    ``lower_symbol``."""
-    _require_single_mode(op.d, "lower_symbol_by_pairing")
-    dfm = op.dfm
-    ket = coherent_ket(dfm, 1)
-    bra = coherent_bra(dfm, 1)
-    out = ParaPoly.zero(dfm, 1)
-    for nb in range(dfm.kprime):
-        for n in range(dfm.kprime):
-            a = op.mat[nb, n]
-            if a == 0:
-                continue
-            out = out + a * multiply(bra.components[nb], ket.components[n])
-    return out
-
-
-def coherent_overlap(dfm: Deformation) -> ParaPoly:
-    """Overlap of the coherent family with itself: sum over n of
-    bartheta^n theta^n / [n]! in canonical form."""
-    return lower_symbol_by_pairing(FockOperator.identity(dfm, 1))
+    return ParaPoly(dfm, 1, coeffs.T)
 
 
 @lru_cache(maxsize=None)
@@ -104,18 +76,17 @@ def _inverse_table(dfm: Deformation) -> np.ndarray:
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
-    One contraction with the inverse table: the coefficient of theta^s
-    bartheta^t is ``sum_n U[s, t, n] * A[n, n + s - t]``.  U inverts
-    ``mode_table``, the table ``quantize`` itself uses, which keeps the two
-    maps consistent by construction.
+    One ``gather_contract`` with the inverse table: the coefficient of
+    theta^s bartheta^t is ``sum_n U[s, t, n] * A[n, n + s - t]``.  U
+    inverts ``mode_table``, the table ``quantize`` itself reads through the
+    same helper, which keeps the two maps consistent by construction.
     """
     _require_single_mode(op.d, "upper_symbol")
     dfm = op.dfm
     kp = dfm.kprime
     s, t, n = np.ogrid[:kp, :kp, :kp]
-    wide = np.pad(op.mat, ((0, 0), (kp, kp)))  # zero columns where n + s - t leaves the matrix
-    coeffs = np.einsum("stn,stn->st", _inverse_table(dfm), wide[n, n + s - t + kp])
-    return ParaPoly(dfm, 1, {((i,), (j,)): coeffs[i, j] for i in range(kp) for j in range(kp)})
+    index = n * kp + (n + s - t).clip(0, kp - 1)  # U is zero where n + s - t leaves the matrix
+    return ParaPoly(dfm, 1, gather_contract(op.mat, index, _inverse_table(dfm)))
 
 
 def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:

@@ -19,7 +19,6 @@ from pgquant import (
     check_kfermionic,
     check_mixed_quantization,
     check_ordering_products,
-    coherent_overlap,
     deformation,
     derivative,
     hermiticity_residual,
@@ -27,7 +26,6 @@ from pgquant import (
     ladder,
     ladder_dag,
     lower_symbol,
-    lower_symbol_by_pairing,
     multiply,
     multiply_theta,
     pseudo_norm_sq,
@@ -41,6 +39,8 @@ from pgquant import (
     to_bargmann,
     upper_symbol,
 )
+
+from coherent_pairing import coherent_overlap, lower_symbol_by_pairing
 
 ALL_K = [4, 6, 8, 10, 12]
 TOL = 1e-10

@@ -168,8 +168,8 @@ def test_demo_quaternion_json(capsys):
 
 @pytest.mark.parametrize("k, modes, mode", [(8, 1, 1), (6, 2, 1), (6, 2, 2), (4, 3, 2)])
 def test_matrix_zeros_carry_no_sign(capsys, k, modes, mode):
-    # a zero entry is +0 in both parts (pretty output "0+0i", never "-0+0i"),
-    # and the real operators carry no signed zero at all
+    # no part of any entry is -0: pretty output never prints "-0" ("1-0i" in
+    # Qbar's first row before its phase exponent was taken mod k)
     for name in MATRIX_NAMES:
         if name in ("B", "Bdag") and modes != 1:
             continue
@@ -178,8 +178,7 @@ def test_matrix_zeros_carry_no_sign(capsys, k, modes, mode):
         assert code == 0
         for entry in (e for row in json.loads(out)["rows"] for e in row):
             parts = (entry["re"], entry["im"])
-            if parts == (0.0, 0.0) or name in ("theta", "bartheta", "number"):
-                assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0.0), (name, entry)
+            assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0.0), (name, entry)
 
 
 # ---------------------------------------------------------------- errors
@@ -237,6 +236,21 @@ def test_nonpositive_trials_exit_code(capsys, command, trials):
     assert code == 2
     assert out == ""
     assert "--trials" in err and ">= 1" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--k", "8", "--tolerance", "nan"], "--tolerance"),
+    (["demo", "quaternion", "--tolerance", "nan"], "--tolerance"),
+    (["verify", "--k", "8", "--tolerance", "-1"], "--tolerance"),
+    (["verify", "--k", "8", "--modes", "-1"], "--modes"),
+])
+def test_bad_flag_values_refused_at_parse_time(capsys, argv, flag):
+    # before: a merge error, every relation FAIL with exit 1, or "repeat
+    # argument cannot be negative"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
 
 
 def test_python_m_pgquant(tmp_path):

@@ -11,6 +11,7 @@ from pgquant import (
     FockOperator,
     Ordering,
     ParaPoly,
+    VerificationReport,
     basis_index,
     basis_tuples,
     check_kfermionic,
@@ -79,6 +80,12 @@ def test_coherent_pair_two_modes_k4():
 def test_resolution_of_unity(dfm, modes):
     ru = resolution_of_unity(dfm, modes)
     assert ru.residual(FockOperator.identity(dfm, modes)) < 1e-10
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_report_refuses_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        VerificationReport(tolerance)
 
 
 def test_resolution_of_unity_three_modes():
@@ -179,7 +186,7 @@ def loop_mode_operators(dfm, modes, mode):
         i, n = basis_index(ns, dfm), ns[mode - 1]
         num[i, i] = n
         for sign, diag in ((1, q_pos), (-1, q_neg)):
-            diag[i, i] = cmath.exp(2j * math.pi * sign * n / dfm.k)
+            diag[i, i] = cmath.exp(2j * math.pi * ((sign * n) % dfm.k) / dfm.k)
         if n + 1 < dfm.kprime:
             up = basis_index(ns[: mode - 1] + (n + 1,) + ns[mode:], dfm)
             low[i, up] = high[up, i] = math.sqrt(qnumber(n + 1, dfm))

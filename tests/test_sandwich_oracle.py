@@ -28,6 +28,7 @@ from pgquant import (
     multiply_prescription,
     quantize,
     random_poly,
+    resolution_of_unity,
     weight,
 )
 
@@ -77,6 +78,17 @@ def test_quantize_matches_sandwich_on_every_monomial_k8():
         for ordering in Ordering:
             got = quantize(mono, ordering)
             assert got.residual(sandwich_quantize(mono, ordering)) <= GATE, (s, t, ordering)
+
+
+@pytest.mark.parametrize("k, modes", [(4, 1), (8, 1), (16, 1), (6, 2), (8, 2), (4, 3), (6, 3)])
+def test_resolution_of_unity_matches_literal_integral(k, modes):
+    # every entry the long way: the prescription product of the weight with
+    # bra component m, integrated against ket component n
+    dfm = deformation(k)
+    cols = [multiply_prescription(weight(dfm, modes), comp) for comp in coherent_bra(dfm, modes).components]
+    literal = np.array([[berezin_prescription_product(row, col) for col in cols]
+                        for row in coherent_ket(dfm, modes).components])
+    assert np.max(np.abs(resolution_of_unity(dfm, modes).mat - literal)) <= GATE
 
 
 def test_quantize_of_zero_symbol():

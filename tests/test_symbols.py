@@ -10,12 +10,10 @@ import pytest
 from pgquant import (
     FockOperator,
     ParaPoly,
-    coherent_overlap,
     deformation,
     ladder,
     ladder_dag,
     lower_symbol,
-    lower_symbol_by_pairing,
     moyal_star,
     multiply,
     quantize,
@@ -24,6 +22,8 @@ from pgquant import (
     round_trip_residuals,
     upper_symbol,
 )
+
+from coherent_pairing import coherent_overlap, lower_symbol_by_pairing
 
 
 def random_operator(dfm, rng):
