@@ -62,12 +62,12 @@ __all__ = [
     "check_size",
 ]
 
-# Upper bound on the pairs handled at once: term pairs in ``multiply``,
-# (term, basis state) pairs in ``quantize``.  Memory stays O(block + output).
+# Most pairs handled at once: term pairs in ``multiply``, (term, basis state)
+# pairs and gathered entries in ``quantize``; memory stays O(block + output).
 _PAIRS_PER_BLOCK = 1 << 13
-# Below this many term pairs ``multiply`` works in Python scalars: numpy's
-# fixed cost per call exceeds the work.
-_FEW_PAIRS = 32
+# Up to this many term pairs ``multiply`` works in Python scalars, faster than
+# numpy's fixed cost per call: the two cross at 8 to 12 pairs for d = 1..3.
+_FEW_PAIRS = 8
 
 
 def check_size(dfm: Deformation, modes: int) -> None:
@@ -157,9 +157,8 @@ class ParaPoly:
                 if any(not 0 <= p < dfm.kprime for p in key):
                     raise ValueError(f"exponents must lie in 0..{dfm.kprime - 1}: {(theta, bar)}")
                 coeffs[key] = complex(c)
-        finite = np.isfinite(coeffs)
-        if np.count_nonzero(finite) != finite.size:
-            raise ValueError(f"non-finite coefficient at exponent row {np.argwhere(~finite)[0].tolist()}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"non-finite coefficient at {np.argwhere(~np.isfinite(coeffs))[0].tolist()}")
         coeffs.setflags(write=False)
         self.dfm = dfm
         self.d = d
@@ -203,7 +202,10 @@ class ParaPoly:
         return MappingProxyType({(tuple(r[:d]), tuple(r[d:])): c for r, c in zip(rows.tolist(), vals.tolist())})
 
     def coefficient(self, theta, bar) -> complex:
-        return self.terms.get((tuple(theta), tuple(bar)), 0.0 + 0.0j)
+        """One entry of ``coeffs``; 0 for a key of the wrong arity or out of range."""
+        key = tuple(theta) + tuple(bar)
+        inside = len(theta) == len(bar) == self.d and all(0 <= p < self.dfm.kprime for p in key)
+        return complex(self.coeffs[key]) if inside else 0.0 + 0.0j
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool((np.abs(self.coeffs) <= tol).all())
@@ -336,20 +338,18 @@ def _pair_product(p1: ParaPoly, p2: ParaPoly, twisted: bool) -> ParaPoly:
     dfm, kp, shape = p1.dfm, p1.dfm.kprime, p1.coeffs.shape
     c1, c2 = p1.coeffs.ravel(), p2.coeffs.ravel()
     fx, fy = c1.nonzero()[0], c2.nonzero()[0]
+    x, y = np.array(np.unravel_index(fx, shape)), np.array(np.unravel_index(fy, shape))  # one column per term
     w = phase_matrix(p1.d)
     out = np.zeros(c1.size, dtype=complex)
     if len(fx) * len(fy) <= _FEW_PAIRS:
         q, wt = q_powers(dfm).tolist(), w.T.tolist()
-        right = [(g, _digits(g, shape), c) for g, c in zip(fy.tolist(), c2[fy].tolist())]
-        for f, c in zip(fx.tolist(), c1[fx].tolist()):
-            x = _digits(f, shape)
-            xw = [sum(map(operator.mul, x, col)) for col in wt]
-            for g, y, c_ in right:
-                if all(u + v < kp for u, v in zip(x, y)):
-                    out[f + g] += c * c_ * q[sum(map(operator.mul, xw, y)) % kp] if twisted else c * c_
+        right = list(zip(fy.tolist(), y.T.tolist(), c2[fy].tolist()))
+        for f, row, c in zip(fx.tolist(), x.T.tolist(), c1[fx].tolist()):
+            xw = [sum(map(operator.mul, row, col)) for col in wt]
+            for g, y_row, c_ in right:
+                if all(u + v < kp for u, v in zip(row, y_row)):
+                    out[f + g] += c * c_ * q[sum(map(operator.mul, xw, y_row)) % kp] if twisted else c * c_
         return ParaPoly(dfm, p1.d, out.reshape(shape))
-    place = kp ** np.arange(len(shape) - 1, -1, -1)[:, None]
-    x, y = fx // place % kp, fy // place % kp  # exponent rows, one column per term
     small = np.min_scalar_type(kp - 1)  # the pair test reads 2d bytes per pair, not 16d
     room, right, xw = (kp - 1 - x).astype(small), y.astype(small), w.T @ x
     a, b = c1[fx], c2[fy]
@@ -362,15 +362,6 @@ def _pair_product(p1: ParaPoly, p2: ParaPoly, twisted: bool) -> ParaPoly:
             vals *= q_powers(dfm)[(xw[:, i] * y[:, j]).sum(0) % kp]
         np.add.at(out, fx[i] + fy[j], vals)
     return ParaPoly(dfm, p1.d, out.reshape(shape))
-
-
-def _digits(flat: int, shape: tuple[int, ...]) -> list[int]:
-    """Exponent row of a row-major flat index."""
-    row = []
-    for size in reversed(shape):
-        flat, digit = divmod(flat, size)
-        row.append(digit)
-    return row[::-1]
 
 
 def berezin_full_integral(p: ParaPoly) -> complex:

@@ -13,7 +13,8 @@ to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
 orderings differ only by a phase q_k^e on that amplitude:
 
 * antinormal -- the kernel is merged by the phase-free prescription, e = 0,
-  so the map is ``gather_contract`` of the coefficient tensor, mode by mode;
+  so the map is ``gather_contract`` of the coefficient tensor, mode by mode,
+  or, for a symbol with at most dim terms, each term placed in turn;
 * left / right -- the kernel is the algebra product of the words ket_n, f,
   w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
   completing the top degree; e sums ``product_phase`` of
@@ -35,15 +36,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import (
-    _PAIRS_PER_BLOCK,
-    ParaPoly,
-    _nonzero,
-    product_phase,
-    q_powers,
-    random_poly,
-    weight,
-)
+from .algebra import _PAIRS_PER_BLOCK, ParaPoly, _nonzero, product_phase, q_powers, random_poly, weight
 from .qnum import Deformation, factorials, qfactorial, qnumber
 
 __all__ = [
@@ -258,13 +251,22 @@ def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np
     Mode i owns axes i and d + i (theta_i, bartheta_i, or row n_i, column
     m_i).  With the axis pair (u, v) read as the flat index u * kprime + v,
     out[a, b] = sum_j weight_[a, b, j] * x[index[a, b, j]], one mode at a
-    time: kprime^3 table entries, never a kprime^4 kernel.
+    time: kprime^3 table entries, never a kprime^4 kernel.  The gather takes
+    kprime^3 entries per row of the other modes, so the rows go in blocks:
+    no temporary outgrows the tensor, the table or ``_PAIRS_PER_BLOCK``.
     """
     d, kp = x.ndim // 2, x.shape[0]
-    pairs = x.transpose(np.arange(2 * d).reshape(2, d).T.ravel()).reshape((kp * kp,) * d)
+    rows = kp ** (2 * d - 2)
+    block = max(1, rows // kp, _PAIRS_PER_BLOCK // kp**3)
+    pairs = x.transpose(sum(zip(range(d), range(d, 2 * d)), ()))  # axes theta_1, bartheta_1, theta_2, ...
     for _ in range(d):  # contract the last mode, then rotate it to the front
-        pairs = np.moveaxis((pairs[..., index] * weight_).sum(-1).reshape(pairs.shape), -1, 0)
-    out = pairs.reshape((kp,) * (2 * d)).transpose(np.arange(2 * d).reshape(d, 2).T.ravel())
+        flat = pairs.reshape(rows, kp * kp)
+        out = np.empty_like(flat)
+        for lo in range(0, rows, block):
+            part = flat[lo:lo + block].take(index, axis=1)
+            out[lo:lo + block] = np.einsum("rabj,abj->rab", part, weight_).reshape(-1, kp * kp)
+        pairs = out.reshape((kp * kp,) * d).transpose(d - 1, *range(d - 1))
+    out = pairs.reshape((kp,) * (2 * d)).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
     return np.add(out, 0.0, order="C")  # a sum of -0 terms would print as -0
 
 
@@ -274,7 +276,8 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     Entry (n, m) integrates ket_n * f * weight * bra_m.  For the
     antinormal ordering the whole kernel is merged by the phase-free
     prescription and factorizes over the modes, one ``gather_contract``
-    with ``mode_table``.  For ``left``/``right`` the symbol is kept to the
+    with ``mode_table``; a symbol with at most dim terms is cheaper to
+    place term by term.  For ``left``/``right`` the symbol is kept to the
     left / right of the weight and the kernel is reduced with genuine
     q-phases, which couple the modes, so each term is placed with its own
     phase.  See the module docstring.
@@ -283,7 +286,8 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
         ordering = Ordering(ordering)
     dfm, d, kp = f.dfm, f.d, f.dfm.kprime
     dim = kp**d
-    if ordering is Ordering.ANTINORMAL:
+    # placing a term costs about dim entries, the gather about k' dim^2 in all
+    if ordering is Ordering.ANTINORMAL and np.count_nonzero(f.coeffs) > dim:
         return FockOperator(dfm, d, gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim))
     table = mode_table(dfm).ravel()
     states = np.array(basis_tuples(dfm, d), dtype=np.int64)
@@ -299,13 +303,15 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
             amp *= table[st[:, None] + states[:, i]]
         term, row = np.nonzero(amp)
         index = row * (dim + 1) + ((s - t) @ place)[term]
-        n, s, t = states[row], s[term], t[term]
-        none = np.zeros_like(n)
-        ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
-        w = np.tile(kp - 1 - n - s, 2)
-        words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
-        e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
-        vals = coeffs[lo + term] * amp[term, row] * q_powers(dfm)[e % kp]
+        vals = coeffs[lo + term] * amp[term, row]
+        if ordering is not Ordering.ANTINORMAL:
+            n, s, t = states[row], s[term], t[term]
+            none = np.zeros_like(n)
+            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
+            w = np.tile(kp - 1 - n - s, 2)
+            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
+            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+            vals *= q_powers(dfm)[e % kp]
         flat += np.bincount(index, vals.real, dim * dim) + 1j * np.bincount(index, vals.imag, dim * dim)
     return FockOperator(dfm, d, flat.reshape(dim, dim))
 

@@ -288,6 +288,41 @@ def test_oversize_dimension_refused_before_allocating(tmp_path, argv):
     assert "exceeds" in proc.stderr and "memory" in proc.stderr
 
 
+def test_quantize_at_largest_admitted_size_stays_near_output_size(tmp_path):
+    # With 16 MiB of memory the guard admits a 32^2 x 32^2 complex matrix
+    # (k=64, two modes) and nothing larger.  Quantizing a full symbol there
+    # must fit in ten times that matrix; a k'-fold temporary (512 MiB) would
+    # end in MemoryError.  The symbol is a product of one-mode symbols, so
+    # its matrix is the Kronecker product of theirs.
+    child = textwrap.dedent("""
+        import os, re, resource
+        import numpy as np
+        from pgquant import ParaPoly, deformation, quantize, random_poly
+        from pgquant.algebra import check_size
+        os.sysconf = {"SC_PAGE_SIZE": 1 << 12, "SC_PHYS_PAGES": 1 << 12}.get
+        dfm = deformation(64)
+        check_size(dfm, 2)
+        try:
+            check_size(dfm, 3)
+            raise SystemExit("the guard admitted three modes")
+        except ValueError:
+            pass
+        g, h = (random_poly(dfm, np.random.default_rng(seed)) for seed in (1, 2))
+        f = ParaPoly(dfm, 2, np.einsum("ab,cd->acbd", g.coeffs, h.coeffs))
+        expected = np.kron(quantize(g).mat, quantize(h).mat)
+        mapped = int(re.search(r"VmSize:\\s*(\\d+) kB", open("/proc/self/status").read()).group(1)) << 10
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + (160 << 20),) * 2)
+        mat = quantize(f).mat
+        print(np.abs(mat - expected).max() / np.abs(expected).max())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1e-13
+
+
 def test_size_guard_boundary(capsys, monkeypatch):
     # with 4096 bytes of memory a 16 x 16 complex matrix (k=8, two modes) just
     # fits and a 64 x 64 one (three modes) does not

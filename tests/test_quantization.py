@@ -392,3 +392,22 @@ def test_operator_from_dict_rejects_non_finite_entries():
     obj["rows"][0][0] = {"re": float("nan"), "im": 0.0}
     with pytest.raises(ValueError, match="finite"):
         operator_from_dict(obj)
+
+
+@pytest.mark.parametrize("k, modes, terms", [(8, 1, 1), (8, 1, 4), (32, 1, 16), (6, 2, 9), (8, 2, 16), (4, 3, 8)])
+def test_antinormal_term_placement_matches_gather(k, modes, terms):
+    # a symbol with at most dim terms is placed term by term; a denser one
+    # goes through the per-mode gather, and the two agree
+    from pgquant.quantization import _quantize_gather, gather_contract
+
+    dfm = deformation(k)
+    kp, dim = dfm.kprime, dfm.kprime**modes
+    rng = np.random.default_rng([k, modes, terms])
+    coeffs = np.zeros(dim * dim, dtype=complex)
+    coeffs[rng.choice(dim * dim, terms, replace=False)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
+    f = ParaPoly(dfm, modes, coeffs.reshape((kp,) * (2 * modes)))
+    placed = quantize(f).mat
+    gathered = gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim)
+    assert np.abs(placed - gathered).max() <= 1e-12 * np.abs(gathered).max()
+    for part in (placed.real, placed.imag):
+        assert not np.signbit(part[part == 0]).any()

@@ -123,3 +123,12 @@ def test_pair_product_paths_agree(monkeypatch, product, k, modes, full):
     scalar = product(f, g)
     assert vectorized.distance(scalar) <= 1e-13
     assert not vectorized.is_zero()
+
+
+def test_coefficient_reads_one_entry():
+    p = random_poly(deformation(6), np.random.default_rng(5), modes=2)
+    assert p.coefficient((1, 2), (0, 1)) == p.coeffs[1, 2, 0, 1]
+    assert type(p.coefficient((1, 2), (0, 1))) is complex
+    assert p.coefficient((1,), (0,)) == 0  # wrong arity
+    assert p.coefficient((3, 0), (0, 0)) == 0  # past kprime - 1
+    assert p.coefficient((-1, 0), (0, 0)) == 0  # no wrap-around
