@@ -37,8 +37,6 @@ from .quantization import (
     check_kfermionic,
     check_mixed_quantization,
     check_ordering_products,
-    coherent_bra,
-    coherent_ket,
     hermiticity_residual,
     ladder,
     ladder_dag,
@@ -79,8 +77,6 @@ __all__ = [
     "check_kfermionic",
     "check_mixed_quantization",
     "check_ordering_products",
-    "coherent_bra",
-    "coherent_ket",
     "deformation",
     "derivative",
     "eval_expression",

@@ -286,6 +286,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # check_size bounds the output matrix, not the temporaries that build it
+        k, modes = getattr(args, "k", None), getattr(args, "modes", 1)
+        size = f"a {(k // 2) ** modes} x {(k // 2) ** modes} matrix (k={k}, modes={modes})" if k else "this input"
+        print(f"error: out of memory for {size}", file=sys.stderr)
+        return 2
 
 
 def run_main() -> None:

@@ -1,4 +1,4 @@
-"""Coherent states, exact matrix quantization, and relation checkers.
+"""Exact matrix quantization through the coherent-state kernel, and relation checkers.
 
 A polynomial in the nilpotent q-commuting variables is mapped to a dense
 complex matrix acting on the finite Fock space spanned by
@@ -37,16 +37,13 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .algebra import _PAIRS_PER_BLOCK, ParaPoly, _nonzero, product_phase, q_powers, random_poly, weight
-from .qnum import Deformation, factorials, qfactorial, qnumber
+from .qnum import Deformation, factorials, qnumber
 
 __all__ = [
     "Ordering",
     "FockOperator",
-    "CoherentKet",
     "RelationCheck",
     "VerificationReport",
-    "coherent_ket",
-    "coherent_bra",
     "resolution_of_unity",
     "mode_table",
     "gather_contract",
@@ -157,40 +154,6 @@ class FockOperator:
         return f"FockOperator(k={self.dfm.k}, d={self.d}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class CoherentKet:
-    """Coherent-state family: component ``n`` multiplies the Fock vector
-    ``|n>`` by a monomial in the generators (unbarred for kets, barred for
-    bras), normalized by the square root of the deformed factorials."""
-
-    dfm: Deformation
-    d: int
-    components: tuple[ParaPoly, ...]
-
-
-def _coherent_family(dfm: Deformation, modes: int, barred: bool) -> CoherentKet:
-    zeros = (0,) * modes
-    comps = []
-    for ns in basis_tuples(dfm, modes):
-        scale = 1.0 / math.sqrt(math.prod(qfactorial(n, dfm) for n in ns))
-        theta, bar = (zeros, ns) if barred else (ns, zeros)
-        comps.append(ParaPoly.monomial(dfm, modes, theta, bar, scale))
-    return CoherentKet(dfm, modes, tuple(comps))
-
-
-@lru_cache(maxsize=None)
-def coherent_ket(dfm: Deformation, modes: int = 1) -> CoherentKet:
-    """Ket components: theta_1^n1 .. theta_d^nd / sqrt([n_1]! .. [n_d]!)."""
-    return _coherent_family(dfm, modes, barred=False)
-
-
-@lru_cache(maxsize=None)
-def coherent_bra(dfm: Deformation, modes: int = 1) -> CoherentKet:
-    """Bra components: the barred counterparts, bartheta_1^n1 .. bartheta_d^nd
-    over the same normalization, written directly in canonical order."""
-    return _coherent_family(dfm, modes, barred=True)
-
-
 def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
     """Integrate ket (x) weight (x) bra under the phase-free prescription.
 
@@ -245,6 +208,19 @@ def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
     return index, weight_
 
 
+@lru_cache(maxsize=None)
+def _placement(dfm: Deformation, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis states as a (dim, d) array in ``basis_tuples`` order, and
+    the place value kprime^(d-1-i) of mode i in a basis index: what term
+    placement in ``quantize`` reads.  Cached per (dfm, d), read-only."""
+    kp = dfm.kprime
+    states = np.indices((kp,) * d).reshape(d, -1).T
+    place = kp ** np.arange(d - 1, -1, -1)
+    for table in (states, place):
+        table.setflags(write=False)
+    return states, place
+
+
 def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
     """Apply one single-mode map to every mode of a (kprime,) * 2d tensor.
 
@@ -290,17 +266,15 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     if ordering is Ordering.ANTINORMAL and np.count_nonzero(f.coeffs) > dim:
         return FockOperator(dfm, d, gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim))
     table = mode_table(dfm).ravel()
-    states = np.array(basis_tuples(dfm, d), dtype=np.int64)
-    place = kp ** np.arange(d - 1, -1, -1)
+    states, place = _placement(dfm, d)
     expo, coeffs = _nonzero(f.coeffs)
     theta, bar = expo[:, :d], expo[:, d:]
     flat = np.zeros(dim * dim, dtype=complex)
     block = max(1, _PAIRS_PER_BLOCK // dim)
     for lo in range(0, len(coeffs), block):
         s, t = theta[lo:lo + block], bar[lo:lo + block]
-        amp = np.ones((len(s), dim))
-        for i, st in enumerate(((s * kp + t) * kp).T):  # T[s_i, t_i, n_i], mode by mode
-            amp *= table[st[:, None] + states[:, i]]
+        # (term, state) amplitude prod_i T[s_i, t_i, n_i]
+        amp = reduce(np.multiply, (table[st[:, None] + n] for st, n in zip(((s * kp + t) * kp).T, states.T)))
         term, row = np.nonzero(amp)
         index = row * (dim + 1) + ((s - t) @ place)[term]
         vals = coeffs[lo + term] * amp[term, row]
@@ -312,7 +286,7 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
             words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
             e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
             vals *= q_powers(dfm)[e % kp]
-        flat += np.bincount(index, vals.real, dim * dim) + 1j * np.bincount(index, vals.imag, dim * dim)
+        np.add.at(flat, index, vals)  # from +0, so no entry ends as -0
     return FockOperator(dfm, d, flat.reshape(dim, dim))
 
 
@@ -642,36 +616,48 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     commutator expansion of [low^n, high^m] into nested first-order
     commutators (single mode).
 
-    The nested sums follow S_(n+1) = low S_n + X low^n (and the same over
-    high), so all n, m take O(kprime^2) matrix products.
+    low^n and high^m are held as (kprime, kprime, kprime) stacks, and each
+    step over n covers every m at once: the products low^n @ high^m and
+    high^m @ low^n by batched ``@``, the closed form and the reversed closed
+    form by one fancy-index assignment each.  The nested sum
+    S(n, m) = sum_(s<n) low^s I_m low^(n-1-s) advances for all m as
+    S(n+1) = low S(n) + I low^n, over the stack I_m = sum_(r<m) high^r
+    [low, high] high^(m-1-r), built once by I_(m+1) = high I_m +
+    [low, high] high^m.  That is kprime steps, and no temporary exceeds
+    kprime^3 entries; only ``quantize`` of each theta^n bartheta^m stays
+    one call per pair.
     """
     kp = dfm.kprime
     rep = VerificationReport(tolerance)
     low = ladder(dfm)
     high = ladder_dag(dfm)
-    lows = [low.power(n).mat for n in range(kp)]
-    highs = [high.power(m).mat for m in range(kp)]
+    lows = np.stack([low.power(n).mat for n in range(kp)])
+    highs = np.stack([high.power(m).mat for m in range(kp)])
     fac = factorials(dfm)
     res_int = res_prod = res_rev = res_comm = 0.0
     base = lows[1] @ highs[1] - highs[1] @ lows[1]
-    inner = np.zeros((kp, kp), complex)  # sum_{r<m} high^r base high^(m-1-r)
-    for m in range(kp):
-        nested = np.zeros((kp, kp), complex)  # sum_{s<n} low^s inner low^(n-1-s)
-        for n in range(kp):
-            closed = quantize_mixed_monomial(n, m, dfm)
-            theta = ParaPoly.monomial(dfm, 1, (n,), (m,))
-            res_int = max(res_int, closed.residual(quantize(theta)))
-            forward = lows[n] @ highs[m]
-            reverse = highs[m] @ lows[n]
-            res_prod = max(res_prod, float(np.max(np.abs(closed.mat - forward))))
-            # Reversed product high^m @ low^n, closed form.
-            rev = np.zeros((kp, kp), dtype=complex)
-            l = np.arange(kp - max(n, m))
-            rev[l + m, l + n] = np.sqrt((fac[l + n] / fac[l]) * (fac[l + m] / fac[l]))
-            res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
-            res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - nested))))
-            nested = lows[1] @ nested + inner @ lows[n]
-        inner = highs[1] @ inner + base @ highs[m]
+    inner = np.zeros_like(highs)
+    for j in range(1, kp):
+        inner[j] = highs[1] @ inner[j - 1] + base @ highs[j - 1]
+    nested = np.zeros_like(highs)  # S(n, m) for the current n
+    m, row = np.ogrid[:kp, :kp]  # m runs along axis 0 of every stack
+    for n in range(kp):
+        # theta^n bartheta^m: row -> row + n - m with top = row + n < kp and col >= 0
+        pm, pr = np.nonzero((row + n < kp) & (row + n - m >= 0))
+        closed = np.zeros_like(highs)
+        closed[pm, pr, pr + n - pm] = fac[pr + n] / np.sqrt(fac[pr] * fac[pr + n - pm])
+        # high^m @ low^n: row l + n -> l + m for l < kp - max(n, m)
+        pm, pl = np.nonzero(row + np.maximum(m, n) < kp)
+        rev = np.zeros_like(highs)
+        rev[pm, pl + pm, pl + n] = np.sqrt((fac[pl + n] / fac[pl]) * (fac[pl + pm] / fac[pl]))
+        direct = np.stack([quantize(ParaPoly.monomial(dfm, 1, (n,), (j,))).mat for j in range(kp)])
+        forward = lows[n] @ highs
+        reverse = highs @ lows[n]
+        res_int = max(res_int, float(np.max(np.abs(closed - direct))))
+        res_prod = max(res_prod, float(np.max(np.abs(closed - forward))))
+        res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
+        res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - nested))))
+        nested = lows[1] @ nested + inner @ lows[n]
     rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", res_int)
     rep.add("closed mixed form = low^n @ high^m, all n,m", res_prod)
     rep.add("reversed product high^m @ low^n matches its closed form, all n,m", res_rev)

@@ -73,6 +73,19 @@ def _inverse_table(dfm: Deformation) -> np.ndarray:
     return inverse
 
 
+@lru_cache(maxsize=None)
+def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
+    """``_inverse_table`` read by ``gather_contract``: coefficient (s, t)
+    sums U[s, t, n] times matrix entry (n, n + s - t) over n, with the
+    column clipped where it leaves the matrix, as U is zero there.  Cached
+    per deformation, read-only."""
+    kp = dfm.kprime
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    index = n * kp + (n + s - t).clip(0, kp - 1)
+    index.setflags(write=False)
+    return index, _inverse_table(dfm)
+
+
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
@@ -82,11 +95,7 @@ def upper_symbol(op: FockOperator) -> ParaPoly:
     same helper, which keeps the two maps consistent by construction.
     """
     _require_single_mode(op.d, "upper_symbol")
-    dfm = op.dfm
-    kp = dfm.kprime
-    s, t, n = np.ogrid[:kp, :kp, :kp]
-    index = n * kp + (n + s - t).clip(0, kp - 1)  # U is zero where n + s - t leaves the matrix
-    return ParaPoly(dfm, 1, gather_contract(op.mat, index, _inverse_table(dfm)))
+    return ParaPoly(op.dfm, 1, gather_contract(op.mat, *_upper_gather(op.dfm)))
 
 
 def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:

@@ -323,6 +323,29 @@ def test_quantize_at_largest_admitted_size_stays_near_output_size(tmp_path):
     assert float(proc.stdout) <= 1e-13
 
 
+def test_out_of_memory_at_admitted_size_exits_2(tmp_path):
+    # The guard admits k=64 on two modes with 16 MiB of memory, as above, but
+    # 40 MiB of address space is too little to parse a symbol there and
+    # quantize it: the CLI turns the MemoryError into exit status 2 and an
+    # error line that names the matrix size.
+    child = textwrap.dedent("""
+        import os, re, resource, sys
+        from pgquant.cli import main
+        os.sysconf = {"SC_PAGE_SIZE": 1 << 12, "SC_PHYS_PAGES": 1 << 12}.get
+        mapped = int(re.search(r"VmSize:\\s*(\\d+) kB", open("/proc/self/status").read()).group(1)) << 10
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + (40 << 20),) * 2)
+        sys.exit(main(["quantize", "th1*bth2 + 2*bth1*th2 + 3", "--k", "64", "--modes", "2"]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and "1024 x 1024" in proc.stderr
+
+
 def test_size_guard_boundary(capsys, monkeypatch):
     # with 4096 bytes of memory a 16 x 16 complex matrix (k=8, two modes) just
     # fits and a 64 x 64 one (three modes) does not

@@ -17,8 +17,6 @@ from pgquant import (
     check_kfermionic,
     check_mixed_quantization,
     check_ordering_products,
-    coherent_bra,
-    coherent_ket,
     deformation,
     hermiticity_residual,
     ladder,
@@ -35,6 +33,8 @@ from pgquant import (
     resolution_of_unity,
     verify_relations,
 )
+
+from coherent_pairing import coherent_bra, coherent_ket
 
 ROOT4_2 = 2.0 ** 0.25
 
@@ -406,6 +406,45 @@ def test_antinormal_term_placement_matches_gather(k, modes, terms):
     coeffs = np.zeros(dim * dim, dtype=complex)
     coeffs[rng.choice(dim * dim, terms, replace=False)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
     f = ParaPoly(dfm, modes, coeffs.reshape((kp,) * (2 * modes)))
+    placed = quantize(f).mat
+    gathered = gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim)
+    assert np.abs(placed - gathered).max() <= 1e-12 * np.abs(gathered).max()
+    for part in (placed.real, placed.imag):
+        assert not np.signbit(part[part == 0]).any()
+
+
+def test_placement_tables_are_cached_and_read_only():
+    from pgquant.quantization import _placement
+
+    dfm = deformation(6)
+    states, place = _placement(dfm, 3)
+    assert _placement(dfm, 3)[0] is states
+    assert states.tolist() == [list(ns) for ns in basis_tuples(dfm, 3)]
+    assert place.tolist() == [9, 3, 1]
+    for table in (states, place):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("k, modes, terms", [(32, 2, 200), (6, 5, 150)])
+def test_antinormal_placement_across_blocks_on_shared_diagonals(k, modes, terms):
+    # at most dim terms, so they are placed, but more than one block of them
+    # (_PAIRS_PER_BLOCK // dim), all on one shift, so later blocks add to the
+    # entries that earlier blocks filled
+    from pgquant.algebra import _PAIRS_PER_BLOCK
+    from pgquant.quantization import _quantize_gather, gather_contract
+
+    dfm = deformation(k)
+    kp, dim = dfm.kprime, dfm.kprime**modes
+    assert _PAIRS_PER_BLOCK // dim < terms <= dim
+    rng = np.random.default_rng([k, modes])
+    shape = (kp - 1,) + (kp,) * (modes - 1)
+    theta = np.stack(np.unravel_index(rng.choice(math.prod(shape), terms, replace=False), shape), axis=1)
+    bar = theta.copy()
+    bar[:, 0] = theta[:, 0] + 1  # shift -1 on the first mode, 0 on the others
+    coeffs = np.zeros((kp,) * (2 * modes), dtype=complex)
+    coeffs[tuple(np.hstack([theta, bar]).T)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
+    f = ParaPoly(dfm, modes, coeffs)
     placed = quantize(f).mat
     gathered = gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim)
     assert np.abs(placed - gathered).max() <= 1e-12 * np.abs(gathered).max()

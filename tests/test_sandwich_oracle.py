@@ -20,8 +20,6 @@ from pgquant import (
     ParaPoly,
     berezin_full_integral,
     berezin_prescription_product,
-    coherent_bra,
-    coherent_ket,
     deformation,
     mode_table,
     multiply,
@@ -31,6 +29,8 @@ from pgquant import (
     resolution_of_unity,
     weight,
 )
+
+from coherent_pairing import coherent_bra, coherent_ket
 
 GATE = 1e-12
 
@@ -122,3 +122,22 @@ def test_mode_table_is_cached_and_read_only():
     assert mode_table(dfm) is table
     with pytest.raises(ValueError):
         table[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("k, modes, terms", [(6, 2, 9), (4, 3, 8), (8, 2, 16), (8, 2, 30)])
+def test_sparse_multimode_symbol_in_several_blocks_matches_sandwich(monkeypatch, k, modes, terms):
+    # three terms per placement block, so the amplitudes and phases of later
+    # blocks add onto entries of earlier ones; antinormal places at most dim
+    # terms and gathers a denser symbol
+    from pgquant import quantization
+
+    dfm = deformation(k)
+    kp, dim = dfm.kprime, dfm.kprime**modes
+    monkeypatch.setattr(quantization, "_PAIRS_PER_BLOCK", 3 * dim)
+    rng = np.random.default_rng([k, modes, terms])
+    coeffs = np.zeros(kp ** (2 * modes), dtype=complex)
+    coeffs[rng.choice(coeffs.size, terms, replace=False)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
+    f = ParaPoly(dfm, modes, coeffs.reshape((kp,) * (2 * modes)))
+    for ordering in Ordering:
+        got = quantize(f, ordering)
+        assert got.residual(sandwich_quantize(f, ordering)) <= GATE, ordering

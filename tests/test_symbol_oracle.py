@@ -85,3 +85,15 @@ def test_inverse_table_is_cached_and_read_only():
     assert inverse.shape == mode_table(dfm).shape
     with pytest.raises(ValueError):
         inverse[0, 0, 0] = 2.0
+
+
+def test_upper_symbol_gather_is_cached_and_read_only():
+    from pgquant.symbols import _upper_gather
+
+    dfm = deformation(10)
+    index, inverse = _upper_gather(dfm)
+    assert _upper_gather(dfm)[0] is index
+    assert inverse is _inverse_table(dfm)
+    assert index.shape == inverse.shape
+    with pytest.raises(ValueError):
+        index[0, 0, 0] = 1
