@@ -31,7 +31,6 @@ Two products coexist and must never be conflated:
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -65,9 +64,6 @@ __all__ = [
 # Most pairs handled at once: term pairs in ``multiply``, (term, basis state)
 # pairs and gathered entries in ``quantize``; memory stays O(block + output).
 _PAIRS_PER_BLOCK = 1 << 13
-# Up to this many term pairs ``multiply`` works in Python scalars, faster than
-# numpy's fixed cost per call: the two cross at 8 to 12 pairs for d = 1..3.
-_FEW_PAIRS = 8
 
 
 def check_size(dfm: Deformation, modes: int) -> None:
@@ -341,19 +337,10 @@ def _pair_product(p1: ParaPoly, p2: ParaPoly, twisted: bool) -> ParaPoly:
     x, y = np.array(np.unravel_index(fx, shape)), np.array(np.unravel_index(fy, shape))  # one column per term
     w = phase_matrix(p1.d)
     out = np.zeros(c1.size, dtype=complex)
-    if len(fx) * len(fy) <= _FEW_PAIRS:
-        q, wt = q_powers(dfm).tolist(), w.T.tolist()
-        right = list(zip(fy.tolist(), y.T.tolist(), c2[fy].tolist()))
-        for f, row, c in zip(fx.tolist(), x.T.tolist(), c1[fx].tolist()):
-            xw = [sum(map(operator.mul, row, col)) for col in wt]
-            for g, y_row, c_ in right:
-                if all(u + v < kp for u, v in zip(row, y_row)):
-                    out[f + g] += c * c_ * q[sum(map(operator.mul, xw, y_row)) % kp] if twisted else c * c_
-        return ParaPoly(dfm, p1.d, out.reshape(shape))
     small = np.min_scalar_type(kp - 1)  # the pair test reads 2d bytes per pair, not 16d
     room, right, xw = (kp - 1 - x).astype(small), y.astype(small), w.T @ x
     a, b = c1[fx], c2[fy]
-    block = max(1, _PAIRS_PER_BLOCK // len(fy))
+    block = max(1, _PAIRS_PER_BLOCK // max(len(fy), 1))
     for lo in range(0, len(fx), block):
         i, j = np.nonzero((right[:, None, :] <= room[:, lo:lo + block, None]).all(0))
         i += lo

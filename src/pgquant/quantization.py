@@ -379,12 +379,6 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def residual_of(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.residual
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "relations": [

@@ -2,9 +2,10 @@
 
 The lower symbol pairs a matrix with the coherent-state family; the upper
 symbol inverts antinormal quantization by one contraction with a cached
-inverse of ``mode_table``.  Since quantization is a linear bijection onto
-the full matrix algebra, transporting the operator product back to symbols
-defines an associative star product on single-mode polynomials.
+inverse of ``mode_table``, in closed form from one series reciprocal, that
+of the truncated q-exponential.  Since quantization is a linear bijection
+onto the full matrix algebra, transporting the operator product back to
+symbols defines an associative star product on single-mode polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .quantization import (
     FockOperator,
     VerificationReport,
     gather_contract,
-    mode_table,
     quantize,
 )
 
@@ -58,17 +58,21 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
 @lru_cache(maxsize=None)
 def _inverse_table(dfm: Deformation) -> np.ndarray:
     """Inverse of ``mode_table`` in its (s, t, n) layout, cached per
-    deformation (read-only).  Only theta^(j+a) bartheta^(j+b) reach diagonal
-    p = a - b, on the rows n = j + b, and their entries there form one square
-    block, triangular up to row order; U holds the inverse of each block."""
+    deformation (read-only).  As [m]! [k'-1-m]! = [k'-1]!, each diagonal
+    block of T is a row scaling times a triangular Hankel block of
+    [k'-1]! e(x), e(x) = sum_(i<k') x^i / [i]! the truncated q-exponential.
+    So U reads g = 1/e(x) mod x^k' across the anti-diagonal n + s = k'-1:
+    U[s, t, n] = g_(n+s+1-k') sqrt([n]! [n+s-t]!) / [k'-1]! for n + s >= k'-1
+    and 0 <= n + s - t < k', and exactly 0 elsewhere."""
     kp = dfm.kprime
-    table = mode_table(dfm)
-    inverse = np.zeros_like(table)
-    for p in range(1 - kp, kp):
-        a, b = max(p, 0), max(-p, 0)
-        j = np.arange(kp - abs(p))
-        block = table[j + a, j + b, (j + b)[:, None]]  # block[r, c] = T[c + a, c + b, r + b]
-        inverse[(j + a)[:, None], (j + b)[:, None], j + b] = np.linalg.inv(block)
+    fac = factorials(dfm)
+    g = np.ones(kp)
+    for i in range(1, kp):
+        g[i] = -(g[i - 1::-1] / fac[1:i + 1]).sum()  # g_i = -sum_(j=1..i) g_(i-j) / [j]!
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    low, col = n + s + 1 - kp, n + s - t  # col >= 0 wherever low >= 0, as t < kp
+    root = np.sqrt(fac[n] * fac[col.clip(0, kp - 1)])
+    inverse = np.where((low >= 0) & (col < kp), g[low.clip(0)] * root / fac[kp - 1], 0.0)
     inverse.setflags(write=False)
     return inverse
 

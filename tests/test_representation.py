@@ -3,8 +3,8 @@
 A polynomial on d modes holds one read-only complex array of shape
 (kprime,) * 2d.  These tests pin the contract around it: the ``terms``
 view, the two ways to build a polynomial, the refusal of non-finite and
-oversize input, the random stream of ``random_poly``, and the two paths
-of the pair product.
+oversize input, the random stream of ``random_poly``, and the pair
+product against term-pair references.
 """
 
 import itertools
@@ -17,6 +17,7 @@ import pytest
 import pgquant.algebra as algebra
 import pgquant.cli as cli
 from pgquant import ParaPoly, deformation, multiply, multiply_prescription, random_poly
+from test_product_oracle import sorted_multiply
 
 
 def scalar_draw_poly(dfm, rng, modes, full):
@@ -108,21 +109,40 @@ def test_oversize_polynomial_refused_before_allocating(monkeypatch):
         ParaPoly(deformation(8), 3)
 
 
+def loop_prescription(p1, p2):
+    """``multiply_prescription`` as a plain loop over term pairs: exponents
+    add, coefficients multiply, and a pair reaching ``kprime`` drops out."""
+    kp = p1.dfm.kprime
+    out = {}
+    for (t1, b1), c1 in p1.terms.items():
+        for (t2, b2), c2 in p2.terms.items():
+            theta, bar = tuple(map(sum, zip(t1, t2))), tuple(map(sum, zip(b1, b2)))
+            if max(theta + bar) < kp:
+                out[theta, bar] = out.get((theta, bar), 0.0) + c1 * c2
+    return ParaPoly(p1.dfm, p1.d, out)
+
+
 @pytest.mark.parametrize("product", [multiply, multiply_prescription])
 @pytest.mark.parametrize("k, modes, full", [(4, 1, True), (8, 1, False), (6, 2, False), (8, 2, False), (4, 3, False)])
-def test_pair_product_paths_agree(monkeypatch, product, k, modes, full):
-    # the Python-scalar path for a few term pairs and the numpy path for many
-    # give the same product
+def test_pair_product_paths_agree(product, k, modes, full):
+    # the vectorized pair product against the term-pair references: the
+    # insertion-sort reducer for the algebra product, a plain loop for the
+    # phase-free one
     dfm = deformation(k)
     rng = np.random.default_rng([k, modes])
     f = random_poly(dfm, rng, modes=modes, full=full)
     g = random_poly(dfm, rng, modes=modes, full=full) * ParaPoly.generator(dfm, modes, 1, barred=True)
-    monkeypatch.setattr(algebra, "_FEW_PAIRS", 0)
-    vectorized = product(f, g)
-    monkeypatch.setattr(algebra, "_FEW_PAIRS", 10**9)
-    scalar = product(f, g)
-    assert vectorized.distance(scalar) <= 1e-13
-    assert not vectorized.is_zero()
+    reference = {multiply: sorted_multiply, multiply_prescription: loop_prescription}[product]
+    got = product(f, g)
+    assert got.distance(reference(f, g)) <= 1e-13
+    assert not got.is_zero()
+
+
+@pytest.mark.parametrize("product", [multiply, multiply_prescription])
+def test_product_with_a_zero_operand_is_zero(product):
+    dfm = deformation(8)
+    zero, theta = ParaPoly.zero(dfm, 2), ParaPoly.generator(dfm, 2, 1)
+    assert product(zero, theta).is_zero() and product(theta, zero).is_zero() and product(zero, zero).is_zero()
 
 
 def test_coefficient_reads_one_entry():
