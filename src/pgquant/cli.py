@@ -191,6 +191,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "pretty"), default="pretty",
                         help="output format")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_nonnegative_int, default=0,
                         help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(

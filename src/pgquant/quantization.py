@@ -20,6 +20,10 @@ orderings differ only by a phase q_k^e on that amplitude:
   completing the top degree; e sums ``product_phase`` of
   ``pgquant.algebra`` over all ordered pairs of words.
 
+Both act on a stack of B symbols at once, and ``quantize`` is that map on
+a stack of one, so a family of monomials or a chunk of random trials costs
+one call, not one per symbol.
+
 Everything asserted about the resulting operators is checked numerically
 by the ``verify_*``/``check_*`` functions, which return a
 ``VerificationReport`` of named residuals.
@@ -221,29 +225,80 @@ def _placement(dfm: Deformation, d: int) -> tuple[np.ndarray, np.ndarray]:
     return states, place
 
 
-def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
-    """Apply one single-mode map to every mode of a (kprime,) * 2d tensor.
+@lru_cache(maxsize=None)
+def _shift_weights(dfm: Deformation, d: int) -> np.ndarray:
+    """Weights w that send the exponent row (b, s, t) of a term of symbol b
+    in a stack to w . (b, s, t) = b dim^2 + (s - t) . place: the flat offset,
+    in the (B, dim, dim) output, from row n of matrix 0 to the entry the term
+    gives in that row.  Cached per (dfm, d), read-only."""
+    place = _placement(dfm, d)[1]
+    weights = np.concatenate(([dfm.kprime ** (2 * d)], place, -place))
+    weights.setflags(write=False)
+    return weights
 
-    Mode i owns axes i and d + i (theta_i, bartheta_i, or row n_i, column
-    m_i).  With the axis pair (u, v) read as the flat index u * kprime + v,
-    out[a, b] = sum_j weight_[a, b, j] * x[index[a, b, j]], one mode at a
-    time: kprime^3 table entries, never a kprime^4 kernel.  The gather takes
-    kprime^3 entries per row of the other modes, so the rows go in blocks:
-    no temporary outgrows the tensor, the table or ``_PAIRS_PER_BLOCK``.
+
+def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
+    """Apply one single-mode map to every mode of each (kprime,) * 2d tensor
+    in a stack of shape (B,) + (kprime,) * 2d.
+
+    Mode i owns axes 1 + i and 1 + d + i (theta_i, bartheta_i, or row n_i,
+    column m_i).  With the axis pair (u, v) read as the flat index
+    u * kprime + v, out[a, b] = sum_j weight_[a, b, j] * x[index[a, b, j]],
+    one mode at a time: kprime^3 table entries, never a kprime^4 kernel.  The
+    gather takes kprime^3 entries per row of the stack and the other modes,
+    so the rows go in blocks: no temporary outgrows the stack, the table or
+    ``_PAIRS_PER_BLOCK``.
     """
-    d, kp = x.ndim // 2, x.shape[0]
-    rows = kp ** (2 * d - 2)
+    d, kp = x.ndim // 2, x.shape[1]
+    rows = x.shape[0] * kp ** (2 * d - 2)
     block = max(1, rows // kp, _PAIRS_PER_BLOCK // kp**3)
-    pairs = x.transpose(sum(zip(range(d), range(d, 2 * d)), ()))  # axes theta_1, bartheta_1, theta_2, ...
+    pairs = x.transpose(0, *sum(zip(range(1, d + 1), range(d + 1, 2 * d + 1)), ()))  # theta_1, bartheta_1, ...
     for _ in range(d):  # contract the last mode, then rotate it to the front
         flat = pairs.reshape(rows, kp * kp)
         out = np.empty_like(flat)
-        for lo in range(0, rows, block):
+        for lo in range(0, rows, block):  # one gathered block alive at a time
             part = flat[lo:lo + block].take(index, axis=1)
             out[lo:lo + block] = np.einsum("rabj,abj->rab", part, weight_).reshape(-1, kp * kp)
-        pairs = out.reshape((kp * kp,) * d).transpose(d - 1, *range(d - 1))
-    out = pairs.reshape((kp,) * (2 * d)).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+            del part
+        pairs = out.reshape((-1,) + (kp * kp,) * d).transpose(0, d, *range(1, d))
+    out = pairs.reshape((-1,) + (kp,) * (2 * d)).transpose(0, *range(1, 2 * d + 1, 2), *range(2, 2 * d + 1, 2))
     return np.add(out, 0.0, order="C")  # a sum of -0 terms would print as -0
+
+
+def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> np.ndarray:
+    """The matrices, shape (B, dim, dim), of a stack of B coefficient tensors
+    on the same modes; see ``quantize``.  The stack is placed term by term
+    when it has at most B * dim terms, and gathered otherwise, so a stack
+    of sparse symbols is as cheap as their terms."""
+    batch, d, kp = stack.shape[0], stack.ndim // 2, dfm.kprime
+    dim = kp**d
+    # placing a term costs about dim entries, the gather about k' dim^2 a symbol
+    if ordering is Ordering.ANTINORMAL and np.count_nonzero(stack) > batch * dim:
+        return gather_contract(stack, *_quantize_gather(dfm)).reshape(batch, dim, dim)
+    table = mode_table(dfm).ravel()
+    states, place = _placement(dfm, d)
+    expo, coeffs = _nonzero(stack)
+    theta, bar = expo[:, 1:d + 1], expo[:, d + 1:]
+    shift = expo @ _shift_weights(dfm, d)
+    flat = np.zeros(batch * dim * dim, dtype=complex)
+    block = max(1, _PAIRS_PER_BLOCK // dim)
+    for lo in range(0, len(coeffs), block):
+        s, t = theta[lo:lo + block], bar[lo:lo + block]
+        # (term, state) amplitude prod_i T[s_i, t_i, n_i]
+        amp = reduce(np.multiply, (table[st[:, None] + n] for st, n in zip(((s * kp + t) * kp).T, states.T)))
+        term, row = np.nonzero(amp)
+        index = row * (dim + 1) + shift[lo:lo + block][term]
+        vals = coeffs[lo + term] * amp[term, row]
+        if ordering is not Ordering.ANTINORMAL:
+            n, s, t = states[row], s[term], t[term]
+            none = np.zeros_like(n)
+            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
+            w = np.tile(kp - 1 - n - s, 2)
+            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
+            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+            vals *= q_powers(dfm)[e % kp]
+        np.add.at(flat, index, vals)  # from +0, so no entry ends as -0
+    return flat.reshape(batch, dim, dim)
 
 
 def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> FockOperator:
@@ -260,34 +315,7 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
     """
     if isinstance(ordering, str):
         ordering = Ordering(ordering)
-    dfm, d, kp = f.dfm, f.d, f.dfm.kprime
-    dim = kp**d
-    # placing a term costs about dim entries, the gather about k' dim^2 in all
-    if ordering is Ordering.ANTINORMAL and np.count_nonzero(f.coeffs) > dim:
-        return FockOperator(dfm, d, gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim))
-    table = mode_table(dfm).ravel()
-    states, place = _placement(dfm, d)
-    expo, coeffs = _nonzero(f.coeffs)
-    theta, bar = expo[:, :d], expo[:, d:]
-    flat = np.zeros(dim * dim, dtype=complex)
-    block = max(1, _PAIRS_PER_BLOCK // dim)
-    for lo in range(0, len(coeffs), block):
-        s, t = theta[lo:lo + block], bar[lo:lo + block]
-        # (term, state) amplitude prod_i T[s_i, t_i, n_i]
-        amp = reduce(np.multiply, (table[st[:, None] + n] for st, n in zip(((s * kp + t) * kp).T, states.T)))
-        term, row = np.nonzero(amp)
-        index = row * (dim + 1) + ((s - t) @ place)[term]
-        vals = coeffs[lo + term] * amp[term, row]
-        if ordering is not Ordering.ANTINORMAL:
-            n, s, t = states[row], s[term], t[term]
-            none = np.zeros_like(n)
-            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
-            w = np.tile(kp - 1 - n - s, 2)
-            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
-            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
-            vals *= q_powers(dfm)[e % kp]
-        np.add.at(flat, index, vals)  # from +0, so no entry ends as -0
-    return FockOperator(dfm, d, flat.reshape(dim, dim))
+    return FockOperator(f.dfm, f.d, _quantize_stack(f.dfm, f.coeffs[None], ordering)[0])
 
 
 def _mode_operator(dfm: Deformation, modes: int, mode: int, band, offset: int = 0) -> FockOperator:
@@ -404,13 +432,6 @@ class VerificationReport:
         return f"VerificationReport({len(self.checks)} checks, {status})"
 
 
-def _theta_power(dfm: Deformation, n: int, barred: bool = False) -> ParaPoly:
-    """theta^n (or bartheta^n) on one mode; zero at n >= kprime."""
-    if n >= dfm.kprime:
-        return ParaPoly.zero(dfm, 1)
-    return ParaPoly.monomial(dfm, 1, (0,) if barred else (n,), (n,) if barred else (0,))
-
-
 def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10) -> VerificationReport:
     """Check the oscillator algebra produced by quantization.
 
@@ -442,10 +463,13 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
             "low@high - conj(q) high@low = diag(q^n)",
             (low @ high - dfm.q.conjugate() * (high @ low)).residual(q_power_N(dfm, 1, 1)),
         )
-        res = 0.0
-        for n in range(2, kp + 1):
-            res = max(res, quantize(_theta_power(dfm, n)).residual(low.power(n)))
-            res = max(res, quantize(_theta_power(dfm, n, barred=True)).residual(high.power(n)))
+        # theta^n, then bartheta^n, for n = 2..kp as one stack; theta^kp = 0 stays zero
+        n = np.arange(2, kp)
+        stack = np.zeros((2, kp - 1, kp, kp), dtype=complex)
+        stack[0, n - 2, n, 0] = stack[1, n - 2, 0, n] = 1.0
+        direct = _quantize_stack(dfm, stack.reshape(-1, kp, kp), Ordering.ANTINORMAL).reshape(stack.shape)
+        res = max(float(np.max(np.abs(direct[i, n - 2] - op.power(n).mat)))
+                  for i, op in enumerate((low, high)) for n in range(2, kp + 1))
         rep.add(f"quantize(theta^n) = low^n and barred, n = 2..{kp}", res)
         rep.add(f"low^{kp} = 0 exactly", low.power(kp).max_abs())
         rep.add("raising = dagger(lowering)", high.residual(low.dagger()))
@@ -618,8 +642,8 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     S(n+1) = low S(n) + I low^n, over the stack I_m = sum_(r<m) high^r
     [low, high] high^(m-1-r), built once by I_(m+1) = high I_m +
     [low, high] high^m.  That is kprime steps, and no temporary exceeds
-    kprime^3 entries; only ``quantize`` of each theta^n bartheta^m stays
-    one call per pair.
+    kprime^3 entries.  The monomials theta^n bartheta^m of one n are
+    quantized as one stack, so ``quantize`` too runs once per n.
     """
     kp = dfm.kprime
     rep = VerificationReport(tolerance)
@@ -644,10 +668,11 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
         pm, pl = np.nonzero(row + np.maximum(m, n) < kp)
         rev = np.zeros_like(highs)
         rev[pm, pl + pm, pl + n] = np.sqrt((fac[pl + n] / fac[pl]) * (fac[pl + pm] / fac[pl]))
-        direct = np.stack([quantize(ParaPoly.monomial(dfm, 1, (n,), (j,))).mat for j in range(kp)])
+        monomials = np.zeros_like(highs)  # theta^n bartheta^m, mostly untouched pages
+        monomials[m, n, m] = 1.0
+        res_int = max(res_int, float(np.max(np.abs(closed - _quantize_stack(dfm, monomials, Ordering.ANTINORMAL)))))
         forward = lows[n] @ highs
         reverse = highs @ lows[n]
-        res_int = max(res_int, float(np.max(np.abs(closed - direct))))
         res_prod = max(res_prod, float(np.max(np.abs(closed - forward))))
         res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
         res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - nested))))
@@ -659,16 +684,27 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     return rep
 
 
-def hermiticity_residual(dfm: Deformation, trials: int = 100, seed: int = 0) -> float:
-    """Worst deviation of quantize(conjugate(f)) from dagger(quantize(f))
-    over random single-mode symbols."""
+def _trial_chunks(dfm: Deformation, trials: int) -> list[int]:
+    """Sizes of the chunks a sampled check runs its trials in, each quantized
+    as one stack: at most ``_PAIRS_PER_BLOCK // kprime^2`` trials, so memory
+    does not grow with ``trials``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    step = max(1, _PAIRS_PER_BLOCK // dfm.kprime**2)
+    return [min(step, trials - lo) for lo in range(0, trials, step)]
+
+
+def hermiticity_residual(dfm: Deformation, trials: int = 100, seed: int = 0) -> float:
+    """Worst deviation of quantize(conjugate(f)) from dagger(quantize(f))
+    over random single-mode symbols, drawn one by one and quantized a chunk
+    at a time, each chunk of f and conjugate(f) as one stack."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        f = random_poly(dfm, rng, modes=1)
-        worst = max(worst, quantize(f.conjugate()).residual(quantize(f).dagger()))
+    for size in _trial_chunks(dfm, trials):
+        fs = [random_poly(dfm, rng, modes=1) for _ in range(size)]
+        stack = np.stack([f.coeffs for f in fs] + [f.conjugate().coeffs for f in fs])
+        mats = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)
+        worst = max(worst, float(np.max(np.abs(mats[size:] - mats[:size].conj().transpose(0, 2, 1)))))
     return worst
 
 

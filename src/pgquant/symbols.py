@@ -18,7 +18,10 @@ from .algebra import ParaPoly, q_powers, random_poly
 from .qnum import Deformation, deformation, factorials
 from .quantization import (
     FockOperator,
+    Ordering,
     VerificationReport,
+    _quantize_stack,
+    _trial_chunks,
     gather_contract,
     quantize,
 )
@@ -99,7 +102,7 @@ def upper_symbol(op: FockOperator) -> ParaPoly:
     same helper, which keeps the two maps consistent by construction.
     """
     _require_single_mode(op.d, "upper_symbol")
-    return ParaPoly(op.dfm, 1, gather_contract(op.mat, *_upper_gather(op.dfm)))
+    return ParaPoly(op.dfm, 1, gather_contract(op.mat[None], *_upper_gather(op.dfm))[0])
 
 
 def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
@@ -116,19 +119,24 @@ def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
 
 def round_trip_residuals(dfm: Deformation, trials: int = 100, seed: int = 0) -> tuple[float, float]:
     """Worst residuals of the two symbol round trips on random data:
-    upper_symbol(quantize(f)) vs f, and quantize(upper_symbol(A)) vs A."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    upper_symbol(quantize(f)) vs f, and quantize(upper_symbol(A)) vs A.
+    Each trial draws f, then A; the maps run a chunk of trials at a time,
+    each on one stack."""
     rng = np.random.default_rng(seed)
     kp = dfm.kprime
+    upper = _upper_gather(dfm)
     worst_poly = 0.0
     worst_mat = 0.0
-    for _ in range(trials):
-        f = random_poly(dfm, rng, modes=1)
-        worst_poly = max(worst_poly, upper_symbol(quantize(f)).distance(f))
-        amat = rng.uniform(-1.0, 1.0, (kp, kp)) + 1j * rng.uniform(-1.0, 1.0, (kp, kp))
-        a = FockOperator(dfm, 1, amat)
-        worst_mat = max(worst_mat, quantize(upper_symbol(a)).residual(a))
+    for size in _trial_chunks(dfm, trials):
+        polys, mats = [], []
+        for _ in range(size):
+            polys.append(random_poly(dfm, rng, modes=1).coeffs)
+            mats.append(rng.uniform(-1.0, 1.0, (kp, kp)) + 1j * rng.uniform(-1.0, 1.0, (kp, kp)))
+        f, a = np.stack(polys), np.stack(mats)
+        back = gather_contract(_quantize_stack(dfm, f, Ordering.ANTINORMAL), *upper)
+        again = _quantize_stack(dfm, gather_contract(a, *upper), Ordering.ANTINORMAL)
+        worst_poly = max(worst_poly, float(np.max(np.abs(back - f))))
+        worst_mat = max(worst_mat, float(np.max(np.abs(again - a))))
     return worst_poly, worst_mat
 
 

@@ -238,6 +238,16 @@ def test_nonpositive_trials_exit_code(capsys, command, trials):
     assert "--trials" in err and ">= 1" in err
 
 
+@pytest.mark.parametrize("command", [["verify", "--k", "4"], ["demo", "quaternion"]])
+def test_negative_seed_refused_at_parse_time(capsys, command):
+    # before: verify ran its deterministic checks, then numpy refused the
+    # seed with a message that did not name the flag
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: must be >= 0, got -1" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--k", "8", "--tolerance", "nan"], "--tolerance"),
     (["demo", "quaternion", "--tolerance", "nan"], "--tolerance"),

@@ -407,7 +407,7 @@ def test_antinormal_term_placement_matches_gather(k, modes, terms):
     coeffs[rng.choice(dim * dim, terms, replace=False)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
     f = ParaPoly(dfm, modes, coeffs.reshape((kp,) * (2 * modes)))
     placed = quantize(f).mat
-    gathered = gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim)
+    gathered = gather_contract(f.coeffs[None], *_quantize_gather(dfm))[0].reshape(dim, dim)
     assert np.abs(placed - gathered).max() <= 1e-12 * np.abs(gathered).max()
     for part in (placed.real, placed.imag):
         assert not np.signbit(part[part == 0]).any()
@@ -446,7 +446,7 @@ def test_antinormal_placement_across_blocks_on_shared_diagonals(k, modes, terms)
     coeffs[tuple(np.hstack([theta, bar]).T)] = rng.uniform(-1, 1, (terms, 2)).view(complex)[:, 0]
     f = ParaPoly(dfm, modes, coeffs)
     placed = quantize(f).mat
-    gathered = gather_contract(f.coeffs, *_quantize_gather(dfm)).reshape(dim, dim)
+    gathered = gather_contract(f.coeffs[None], *_quantize_gather(dfm))[0].reshape(dim, dim)
     assert np.abs(placed - gathered).max() <= 1e-12 * np.abs(gathered).max()
     for part in (placed.real, placed.imag):
         assert not np.signbit(part[part == 0]).any()
