@@ -1,0 +1,103 @@
+"""Compare two trees on one benchmark workload in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload verify --pairs 10
+
+Pair i runs ``perfbench/run.py --workload W --seed 11+i --trace 0`` at
+the benchmark's own run length once in each tree, each run in its own process: parent first
+in even pairs, change first in odd ones, so that drift of the machine
+over the minutes of a comparison falls on both sides alike.  For each
+end-to-end metric it prints the median and quartiles of either side and
+in how many pairs the change read lower.  Two records of
+``bench_record.py`` made one after the other cannot tell drift from a
+change; pairs can.  Every run must report ``correct`` with no failed
+operation, or the script stops with exit status 1.
+
+Check out or ``git archive`` the two commits to compare into directories
+first.  Bytecode moves ``setup_s`` by about a tenth and ``peak_rss_mb`` by
+about 1 MB, so no run reads or writes a tree's own ``__pycache__``: each
+tree gets a fresh ``PYTHONPYCACHEPREFIX`` directory for the comparison,
+which its first run fills and its later runs read, alike on both sides.
+``--runner`` names the script inside each tree; the default is the
+benchmark's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METRICS = ("setup_s", "wall_s", "op_p50_ms", "peak_rss_mb")
+FIRST_SEED = 11
+
+
+def run_once(tree: Path, runner: str, workload: str, seed: int, pycache: Path) -> dict:
+    argv = [sys.executable, runner, "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{tree}: seed {seed} reported correct={result['correct']}, "
+                           f"{result['failed']} failed operations")
+    return {m: result["metrics"][m]["value"] for m in METRICS}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) -> list[str]:
+    """Run the pairs and return the report lines."""
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        order = [("parent", parent, Path(tmp, "parent")), ("change", change, Path(tmp, "change"))]
+        for i in range(pairs):
+            for side, tree, pycache in order if i % 2 == 0 else order[::-1]:
+                runs[side].append(run_once(tree, runner, workload, FIRST_SEED + i, pycache))
+                print(f"pair {i + 1}/{pairs} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+    lines = [f"{workload}: {pairs} alternating pairs, seeds {FIRST_SEED}..{FIRST_SEED + pairs - 1}",
+             f"{'metric':<12} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}  change lower"]
+    for m in METRICS:
+        a, b = ([r[m] for r in runs[side]] for side in ("parent", "change"))
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(a), quartiles(b)
+        lower = sum(y < x for x, y in zip(a, b))
+        lines.append(f"{m:<12} {f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':>34} "
+                     f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}  {lower}/{pairs}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="tree of the parent commit")
+    parser.add_argument("change", type=Path, help="tree of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--runner", default="perfbench/run.py", help="benchmark script, relative to each tree")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    for tree in (args.parent, args.change):
+        if not (tree / args.runner).is_file():
+            parser.error(f"{tree / args.runner} does not exist")
+    try:
+        lines = compare(args.parent.resolve(), args.change.resolve(), args.runner, args.workload, args.pairs)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -414,7 +414,7 @@ def random_poly(dfm: Deformation, rng, modes: int = 1, full: bool = True) -> Par
     kp = dfm.kprime
     shape = (kp,) * (2 * modes)
     if full:
-        return ParaPoly(dfm, modes, rng.uniform(-1.0, 1.0, shape + (2,)).view(complex)[..., 0])
+        return ParaPoly(dfm, modes, _full_draw(dfm, rng, modes)[0])
     draws = rng.uniform(-1.0, 1.0, (1 + 2 * modes * (kp - 1), 2)).view(complex)[:, 0]
     coeffs = np.zeros(shape, dtype=complex)
     coeffs[(0,) * (2 * modes)] = draws[0]
@@ -425,6 +425,31 @@ def random_poly(dfm: Deformation, rng, modes: int = 1, full: bool = True) -> Par
             where[barred * modes + i] = slice(1, None)
             coeffs[tuple(where)] = sector[i, :, barred]
     return ParaPoly(dfm, modes, coeffs)
+
+
+def _full_draw(dfm: Deformation, rng, modes: int, lead: tuple[int, ...] = (), extra: int = 0):
+    """``random_poly``'s full draw for a ``lead``-shaped stack of
+    polynomials, in one ``rng.uniform`` call: per polynomial a (re, im) pair
+    for every monomial, exponent grid in C order, then ``extra`` further
+    uniforms.  Returns the coefficient stack and the (lead + (extra,))
+    further draws."""
+    shape = (dfm.kprime,) * (2 * modes)
+    pairs = 2 * dfm.kprime ** (2 * modes)
+    draws = rng.uniform(-1.0, 1.0, lead + (pairs + extra,))
+    return draws[..., :pairs].reshape(lead + shape + (2,)).view(complex)[..., 0], draws[..., pairs:]
+
+
+def _draw_trials(dfm: Deformation, rng, size: int, matrices: bool = False):
+    """The random inputs of ``size`` trials of a sampled check, in one
+    ``rng.uniform`` call and in per-trial order: a trial draws a full
+    single-mode symbol f as ``random_poly`` does, and with ``matrices``
+    then a matrix A as its real part, then its imaginary part.  Returns the
+    (size, kprime, kprime) stack of f, or the stacks of f and A."""
+    kp2 = dfm.kprime**2
+    f, rest = _full_draw(dfm, rng, 1, (size,), 2 * kp2 if matrices else 0)
+    if not matrices:
+        return f
+    return f, (rest[:, :kp2] + 1j * rest[:, kp2:]).reshape(size, dfm.kprime, dfm.kprime)
 
 
 def poly_to_dict(p: ParaPoly) -> dict:

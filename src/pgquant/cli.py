@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from . import expr as expr_mod
 from .algebra import ParaPoly, check_size, poly_to_dict
@@ -214,7 +215,10 @@ def _add_modes(p: argparse.ArgumentParser) -> None:
     p.add_argument("--modes", type=_positive_int, default=1, help="number of generator pairs")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pgquant`` argument parser, built once per process: parsing
+    leaves it unchanged, so every ``main`` call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "pretty"), default="pretty",
                         help="output format")

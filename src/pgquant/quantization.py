@@ -40,7 +40,16 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import _PAIRS_PER_BLOCK, ParaPoly, _nonzero, product_phase, q_powers, random_poly, weight
+from .algebra import (
+    _PAIRS_PER_BLOCK,
+    ParaPoly,
+    _conjugation_phase,
+    _draw_trials,
+    _nonzero,
+    product_phase,
+    q_powers,
+    weight,
+)
 from .qnum import Deformation, factorials, qnumber
 
 __all__ = [
@@ -587,19 +596,20 @@ def check_ordering_products(dfm: Deformation, tolerance: float = 1e-10) -> Verif
     q_k = dfm.q_k
     rep = VerificationReport(tolerance)
 
-    theta = ParaPoly.generator(dfm, 1, 1)
-    bth = ParaPoly.generator(dfm, 1, 1, barred=True)
-    a_L = quantize(theta, Ordering.LEFT)
-    a_R = quantize(theta, Ordering.RIGHT)
-    b_L = quantize(bth, Ordering.LEFT)
-    b_R = quantize(bth, Ordering.RIGHT)
+    # theta, then bartheta, as one stack per ordering
+    generators = np.stack([ParaPoly.generator(dfm, 1, 1, barred).coeffs for barred in (False, True)])
+    a_N, b_N, a_L, b_L, a_R, b_R = (
+        FockOperator(dfm, 1, mat)
+        for ordering in (Ordering.ANTINORMAL, Ordering.LEFT, Ordering.RIGHT)
+        for mat in _quantize_stack(dfm, generators, ordering)
+    )
 
     def band(values, offset: int = 0) -> FockOperator:
         return FockOperator(dfm, 1, np.diag(np.asarray(values, dtype=complex), offset))
 
     roots = [math.sqrt(qnumber(n + 1, dfm)) for n in range(kp - 1)]
-    rep.add("left-ordered lowering = antinormal lowering", a_L.residual(quantize(theta)))
-    rep.add("right-ordered raising = antinormal raising", b_R.residual(quantize(bth)))
+    rep.add("left-ordered lowering = antinormal lowering", a_L.residual(a_N))
+    rep.add("right-ordered raising = antinormal raising", b_R.residual(b_N))
     rep.add("left-ordered lowering matches sqrt([n+1]) superdiag", a_L.residual(band(roots, 1)))
     rep.add(
         "right-ordered lowering matches sqrt([n+1]) q_k^(n+2) superdiag",
@@ -634,16 +644,18 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     commutator expansion of [low^n, high^m] into nested first-order
     commutators (single mode).
 
-    low^n and high^m are held as (kprime, kprime, kprime) stacks, and each
-    step over n covers every m at once: the products low^n @ high^m and
-    high^m @ low^n by batched ``@``, the closed form and the reversed closed
-    form by one fancy-index assignment each.  The nested sum
-    S(n, m) = sum_(s<n) low^s I_m low^(n-1-s) advances for all m as
-    S(n+1) = low S(n) + I low^n, over the stack I_m = sum_(r<m) high^r
-    [low, high] high^(m-1-r), built once by I_(m+1) = high I_m +
-    [low, high] high^m.  That is kprime steps, and no temporary exceeds
-    kprime^3 entries.  The monomials theta^n bartheta^m of one n are
-    quantized as one stack, so ``quantize`` too runs once per n.
+    low^n and high^m are held as (kprime, kprime, kprime) stacks, and the
+    values of n go in blocks of ``_PAIRS_PER_BLOCK // kprime^3`` (at least
+    one), each block covering every m at once: the products low^n @ high^m
+    and high^m @ low^n by one batched ``@`` each, the closed form and the
+    reversed closed form by one fancy-index assignment each, and the
+    monomials theta^n bartheta^m by one quantized stack.  Only the nested
+    sum S(n, m) = sum_(s<n) low^s I_m low^(n-1-s) goes n by n: it advances
+    for all m as S(n+1) = low S(n) + I low^n, over the stack
+    I_m = sum_(r<m) high^r [low, high] high^(m-1-r), built once by
+    I_(m+1) = high I_m + [low, high] high^m.  A block holds a few stacks
+    of block * kprime^3 entries, one at a time where it can, so memory
+    stays O(kprime^3 + ``_PAIRS_PER_BLOCK``).
     """
     kp = dfm.kprime
     rep = VerificationReport(tolerance)
@@ -658,25 +670,41 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     for j in range(1, kp):
         inner[j] = highs[1] @ inner[j - 1] + base @ highs[j - 1]
     nested = np.zeros_like(highs)  # S(n, m) for the current n
-    m, row = np.ogrid[:kp, :kp]  # m runs along axis 0 of every stack
-    for n in range(kp):
+    step = max(1, _PAIRS_PER_BLOCK // kp**3)
+    for lo in range(0, kp, step):
+        ns = np.arange(lo, min(lo + step, kp))
+        b, m, row = np.ogrid[:len(ns), :kp, :kp]  # axes (n, m, row) of every block stack
+        n = ns[b]
+        monomials = np.zeros((len(ns), kp, kp, kp), dtype=complex)  # theta^n bartheta^m
+        monomials[b, m, n, m] = 1.0
+        direct = _quantize_stack(dfm, monomials.reshape(-1, kp, kp), Ordering.ANTINORMAL).reshape(monomials.shape)
+        del monomials
         # theta^n bartheta^m: row -> row + n - m with top = row + n < kp and col >= 0
-        pm, pr = np.nonzero((row + n < kp) & (row + n - m >= 0))
-        closed = np.zeros_like(highs)
-        closed[pm, pr, pr + n - pm] = fac[pr + n] / np.sqrt(fac[pr] * fac[pr + n - pm])
+        pb, pm, pr = np.nonzero((row + n < kp) & (row + n - m >= 0))
+        pn = ns[pb]
+        closed = np.zeros_like(direct)
+        closed[pb, pm, pr, pr + pn - pm] = fac[pr + pn] / np.sqrt(fac[pr] * fac[pr + pn - pm])
+        # each difference is taken in place, into a stack not needed after it: |a - b| = |b - a| exactly
+        res_int = max(res_int, float(np.max(np.abs(np.subtract(direct, closed, out=direct)))))
+        del direct
+        forward = lows[ns, None] @ highs
+        res_prod = max(res_prod, float(np.max(np.abs(np.subtract(closed, forward, out=closed)))))
+        del closed
         # high^m @ low^n: row l + n -> l + m for l < kp - max(n, m)
-        pm, pl = np.nonzero(row + np.maximum(m, n) < kp)
-        rev = np.zeros_like(highs)
-        rev[pm, pl + pm, pl + n] = np.sqrt((fac[pl + n] / fac[pl]) * (fac[pl + pm] / fac[pl]))
-        monomials = np.zeros_like(highs)  # theta^n bartheta^m, mostly untouched pages
-        monomials[m, n, m] = 1.0
-        res_int = max(res_int, float(np.max(np.abs(closed - _quantize_stack(dfm, monomials, Ordering.ANTINORMAL)))))
-        forward = lows[n] @ highs
-        reverse = highs @ lows[n]
-        res_prod = max(res_prod, float(np.max(np.abs(closed - forward))))
-        res_rev = max(res_rev, float(np.max(np.abs(reverse - rev))))
-        res_comm = max(res_comm, float(np.max(np.abs(forward - reverse - nested))))
-        nested = lows[1] @ nested + inner @ lows[n]
+        pb, pm, pl = np.nonzero(row + np.maximum(m, n) < kp)
+        pn = ns[pb]
+        rev = np.zeros_like(forward)
+        rev[pb, pm, pl + pm, pl + pn] = np.sqrt((fac[pl + pn] / fac[pl]) * (fac[pl + pm] / fac[pl]))
+        reverse = highs @ lows[ns, None]
+        res_rev = max(res_rev, float(np.max(np.abs(np.subtract(rev, reverse, out=rev)))))
+        del rev
+        forward -= reverse  # then minus S(n), n by n: forward - reverse - nested
+        del reverse
+        for i, n_i in enumerate(ns):
+            forward[i] -= nested
+            nested = lows[1] @ nested + inner @ lows[n_i]
+        res_comm = max(res_comm, float(np.max(np.abs(forward))))
+        del forward
     rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", res_int)
     rep.add("closed mixed form = low^n @ high^m, all n,m", res_prod)
     rep.add("reversed product high^m @ low^n matches its closed form, all n,m", res_rev)
@@ -696,13 +724,15 @@ def _trial_chunks(dfm: Deformation, trials: int) -> list[int]:
 
 def hermiticity_residual(dfm: Deformation, trials: int = 100, seed: int = 0) -> float:
     """Worst deviation of quantize(conjugate(f)) from dagger(quantize(f))
-    over random single-mode symbols, drawn one by one and quantized a chunk
-    at a time, each chunk of f and conjugate(f) as one stack."""
+    over random single-mode symbols, drawn one chunk per call, in per-trial
+    order, and quantized a chunk at a time, each chunk of f and
+    conjugate(f) as one stack."""
     rng = np.random.default_rng(seed)
+    phase = _conjugation_phase(dfm, 1)
     worst = 0.0
     for size in _trial_chunks(dfm, trials):
-        fs = [random_poly(dfm, rng, modes=1) for _ in range(size)]
-        stack = np.stack([f.coeffs for f in fs] + [f.conjugate().coeffs for f in fs])
+        f = _draw_trials(dfm, rng, size)
+        stack = np.concatenate([f, f.transpose(0, 2, 1).conj() * phase])  # f, then conjugate(f)
         mats = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)
         worst = max(worst, float(np.max(np.abs(mats[size:] - mats[:size].conj().transpose(0, 2, 1)))))
     return worst

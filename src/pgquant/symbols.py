@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ParaPoly, q_powers, random_poly
+from .algebra import ParaPoly, _draw_trials, q_powers
 from .qnum import Deformation, deformation, factorials
 from .quantization import (
     FockOperator,
@@ -120,19 +120,15 @@ def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
 def round_trip_residuals(dfm: Deformation, trials: int = 100, seed: int = 0) -> tuple[float, float]:
     """Worst residuals of the two symbol round trips on random data:
     upper_symbol(quantize(f)) vs f, and quantize(upper_symbol(A)) vs A.
-    Each trial draws f, then A; the maps run a chunk of trials at a time,
-    each on one stack."""
+    Each trial draws f, then A; the inputs are drawn one chunk per call, in
+    per-trial order, and the maps run a chunk of trials at a time, each on
+    one stack."""
     rng = np.random.default_rng(seed)
-    kp = dfm.kprime
     upper = _upper_gather(dfm)
     worst_poly = 0.0
     worst_mat = 0.0
     for size in _trial_chunks(dfm, trials):
-        polys, mats = [], []
-        for _ in range(size):
-            polys.append(random_poly(dfm, rng, modes=1).coeffs)
-            mats.append(rng.uniform(-1.0, 1.0, (kp, kp)) + 1j * rng.uniform(-1.0, 1.0, (kp, kp)))
-        f, a = np.stack(polys), np.stack(mats)
+        f, a = _draw_trials(dfm, rng, size, matrices=True)
         back = gather_contract(_quantize_stack(dfm, f, Ordering.ANTINORMAL), *upper)
         again = _quantize_stack(dfm, gather_contract(a, *upper), Ordering.ANTINORMAL)
         worst_poly = max(worst_poly, float(np.max(np.abs(back - f))))

@@ -20,7 +20,7 @@ from pgquant import (
     poly_from_dict,
     quantize,
 )
-from pgquant.cli import MATRIX_NAMES, main
+from pgquant.cli import MATRIX_NAMES, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -366,3 +366,27 @@ def test_size_guard_boundary(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "exceeds" in err
+
+
+PARSER_REUSE_ARGV = [
+    ["verify", "--k", "4", "--seed", "-1"],  # refused at parse time, exit 2
+    ["verify", "--k", "4", "--format", "json"],
+    ["quantize", "th", "--k", "4"],
+]
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for argv in PARSER_REUSE_ARGV:
+        fresh = subprocess.run([sys.executable, "-m", "pgquant", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert run(capsys, *PARSER_REUSE_ARGV[0])[0] == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    for argv in PARSER_REUSE_ARGV:
+        run(capsys, *argv)
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(PARSER_REUSE_ARGV) - 1)
