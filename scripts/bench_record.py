@@ -16,7 +16,10 @@ The file, written to the repository root, holds:
 
 It runs those scripts and the CLI only as child processes and imports
 nothing from the tree, so the same command measures any commit that has
-``perfbench/``.  It takes about ten minutes.
+``perfbench/``.  Bytecode moves ``setup_s`` by 6 to 14 %, so no child
+reads or writes the tree's own ``__pycache__``: every child of one record
+shares a fresh ``PYTHONPYCACHEPREFIX`` directory, which the first run
+fills and the later runs read.  It takes about ten minutes.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ CLI = [
     ("demo", ["demo", "quaternion"]),
 ]
 # The CLI runs single-threaded, as the benchmark does.
-CLI_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", BLIS_NUM_THREADS="1")
+SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                 "BLIS_NUM_THREADS": "1"}
 
 
 def summary(values: list[float]) -> dict:
@@ -58,7 +61,14 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def workloads(seeds: list[int], seconds: float) -> dict:
+def child_env(scratch: Path, **extra: str) -> dict:
+    """The environment of a child process: the caller's, with bytecode kept
+    under ``scratch`` instead of the tree, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPYCACHEPREFIX": str(scratch / "pycache"), **extra}
+
+
+def workloads(seeds: list[int], seconds: float, env: dict) -> dict:
     out = {}
     for name in WORKLOADS:
         runs = []
@@ -66,7 +76,7 @@ def workloads(seeds: list[int], seconds: float) -> dict:
             argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
                     "--seconds", str(seconds), "--trace", "0"]
             print(" ".join(argv[1:]), file=sys.stderr, flush=True)
-            proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+            proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         out[name] = {
             "seeds": seeds,
@@ -82,17 +92,18 @@ def workloads(seeds: list[int], seconds: float) -> dict:
 
 
 def cli_times(scratch: Path) -> dict:
+    env = child_env(scratch, PYTHONPATH=str(ROOT / "src"), **SINGLE_THREAD)
     matrix = scratch / "theta16.json"
     with open(matrix, "w") as fh:
         subprocess.run([sys.executable, "-m", "pgquant", "matrix", "theta", "--k", "16", "--format", "json"],
-                       env=CLI_ENV, cwd=scratch, stdout=fh, check=True)
+                       env=env, cwd=scratch, stdout=fh, check=True)
     out = {}
     for name, args in CLI:
         argv = [sys.executable, "-m", "pgquant", *(str(matrix) if a == MATRIX else a for a in args)]
         times, codes = [], set()
         for _ in range(CLI_RUNS):
             t0 = time.perf_counter()
-            codes.add(subprocess.run(argv, env=CLI_ENV, cwd=scratch, capture_output=True).returncode)
+            codes.add(subprocess.run(argv, env=env, cwd=scratch, capture_output=True).returncode)
             times.append(time.perf_counter() - t0)
         out[name] = {"argv": args, "exit_codes": sorted(codes), "wall_s": summary(times)}
     return out
@@ -123,15 +134,16 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with tempfile.TemporaryDirectory() as scratch:
+        env = child_env(Path(scratch))
         record = {
             "label": args.label,
             "started_utc": started,
             "machine": machine(),
             "run_seconds": seconds,
-            "workloads": workloads(SEEDS, seconds),
+            "workloads": workloads(SEEDS, seconds, env),
             "cli": cli_times(Path(scratch)),
-            "grid": subprocess.run([sys.executable, "perfbench/grid.py"], cwd=ROOT, capture_output=True,
-                                   text=True, check=True).stdout.splitlines(),
+            "grid": subprocess.run([sys.executable, "perfbench/grid.py"], cwd=ROOT, env=env,
+                                   capture_output=True, text=True, check=True).stdout.splitlines(),
         }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -32,7 +32,6 @@ from .quantization import (
     Ordering,
     RelationCheck,
     VerificationReport,
-    basis_index,
     basis_tuples,
     check_kfermionic,
     check_mixed_quantization,
@@ -46,7 +45,6 @@ from .quantization import (
     operator_to_dict,
     q_power_N,
     quantize,
-    quantize_mixed_monomial,
     rescale_B,
     resolution_of_unity,
     verify_relations,
@@ -69,7 +67,6 @@ __all__ = [
     "ParaPoly",
     "RelationCheck",
     "VerificationReport",
-    "basis_index",
     "basis_tuples",
     "berezin_full_integral",
     "berezin_prescription_product",
@@ -103,7 +100,6 @@ __all__ = [
     "qfactorial",
     "qnumber",
     "quantize",
-    "quantize_mixed_monomial",
     "quaternion_demo",
     "random_poly",
     "rescale_B",

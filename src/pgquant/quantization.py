@@ -67,7 +67,6 @@ __all__ = [
     "q_power_N",
     "rescale_B",
     "verify_relations",
-    "quantize_mixed_monomial",
     "check_kfermionic",
     "check_ordering_products",
     "check_mixed_quantization",
@@ -88,13 +87,6 @@ class Ordering(enum.Enum):
 def basis_tuples(dfm: Deformation, modes: int = 1) -> list[tuple[int, ...]]:
     """Occupation tuples in basis order (row-major, first mode most significant)."""
     return list(itertools.product(range(dfm.kprime), repeat=modes))
-
-
-def basis_index(ns: tuple[int, ...], dfm: Deformation) -> int:
-    idx = 0
-    for n in ns:
-        idx = idx * dfm.kprime + n
-    return idx
 
 
 class FockOperator:
@@ -514,25 +506,6 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
     return rep
 
 
-def quantize_mixed_monomial(n: int, m: int, dfm: Deformation) -> FockOperator:
-    """Closed form for the antinormal quantization of theta^n bartheta^m.
-
-    Shift by n - m with factorial amplitudes; terms whose occupations
-    leave the basis are dropped.  Coincides with
-    ``quantize(theta^n bartheta^m)`` and with the operator product
-    ``ladder^n @ ladder_dag^m`` (in that order; the reversed product
-    differs in general).
-    """
-    kp = dfm.kprime
-    if not (0 <= n <= kp - 1 and 0 <= m <= kp - 1):
-        raise ValueError(f"powers must lie in 0..{kp - 1}, got n={n}, m={m}")
-    fac = factorials(dfm)
-    row = np.arange(max(0, m - n), kp - n)  # rows with top = row + n < kp and col = row + n - m >= 0
-    out = np.zeros((kp, kp), dtype=complex)
-    out[row, row + n - m] = fac[row + n] / np.sqrt(fac[row] * fac[row + n - m])
-    return FockOperator(dfm, 1, out)
-
-
 def check_kfermionic(
     dfm: Deformation, q_param: complex | None = None, tolerance: float = 1e-10
 ) -> VerificationReport:
@@ -644,70 +617,51 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     commutator expansion of [low^n, high^m] into nested first-order
     commutators (single mode).
 
-    low^n and high^m are held as (kprime, kprime, kprime) stacks, and the
-    values of n go in blocks of ``_PAIRS_PER_BLOCK // kprime^3`` (at least
-    one), each block covering every m at once: the products low^n @ high^m
-    and high^m @ low^n by one batched ``@`` each, the closed form and the
-    reversed closed form by one fancy-index assignment each, and the
-    monomials theta^n bartheta^m by one quantized stack.  Only the nested
-    sum S(n, m) = sum_(s<n) low^s I_m low^(n-1-s) goes n by n: it advances
-    for all m as S(n+1) = low S(n) + I low^n, over the stack
-    I_m = sum_(r<m) high^r [low, high] high^(m-1-r), built once by
-    I_(m+1) = high I_m + [low, high] high^m.  A block holds a few stacks
-    of block * kprime^3 entries, one at a time where it can, so memory
-    stays O(kprime^3 + ``_PAIRS_PER_BLOCK``).
+    Every matrix here has one nonzero diagonal, so each is held as the
+    vector v[r] = M[r, r + o] of its offset o, and a product is
+    (AB)[r] = v_A[r] v_B[r + o_A].  A dense product of two such matrices
+    has one nonzero term per entry, so this gives its bits.  The closed
+    forms and both products are (n, m, r) arrays; the images of the
+    monomials are one quantized stack of the kprime symbols
+    theta^n sum_m bartheta^m, whose terms fall on kprime distinct
+    diagonals.  Only the nested sum S(n, m) = sum_(s<n) low^s I_m
+    low^(n-1-s) goes n by n, as S(n+1) = low S(n) + I low^n, over
+    I_m = sum_(r<m) high^r [low, high] high^(m-1-r), built by
+    I_(m+1) = high I_m + [low, high] high^m.
     """
     kp = dfm.kprime
     rep = VerificationReport(tolerance)
-    low = ladder(dfm)
-    high = ladder_dag(dfm)
-    lows = np.stack([low.power(n).mat for n in range(kp)])
-    highs = np.stack([high.power(m).mat for m in range(kp)])
-    fac = factorials(dfm)
-    res_int = res_prod = res_rev = res_comm = 0.0
-    base = lows[1] @ highs[1] - highs[1] @ lows[1]
-    inner = np.zeros_like(highs)
+    low, high = ladder(dfm), ladder_dag(dfm)
+    # lows[n, r] = (low^n)[r, r+n] and highs[m, r] = (high^m)[r, r-m]; an
+    # index past the matrix, or below zero, reads the zero padding
+    lows, highs = np.zeros((2, kp, 2 * kp), dtype=complex)
+    for p in range(kp):
+        lows[p, :kp - p] = low.power(p).mat.diagonal(p)
+        highs[p, p:kp] = high.power(p).mat.diagonal(-p)
+    n, (m, r) = np.arange(kp)[:, None, None], np.ogrid[:kp, :kp]
+    col = r + n - m  # theta^n bartheta^m sends row r to column r + n - m
+    stack = np.zeros((kp, kp, kp), dtype=complex)
+    stack[range(kp), range(kp)] = 1.0  # theta^n sum_m bartheta^m
+    # a column past the matrix wraps onto a diagonal no monomial of that n reaches: zero
+    direct = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)[n, r, col % kp]
+    fac = np.concatenate([factorials(dfm), np.ones(kp)])  # the ones are read only where masked out
+    closed = np.where((r + n < kp) & (col >= 0), fac[r + n] / np.sqrt(fac[r] * fac[col]), 0.0)
+    l = r - m  # high^m @ low^n: row l + m -> l + n for 0 <= l < kp - max(n, m)
+    rev = np.where((l >= 0) & (col < kp), np.sqrt((fac[l + n] / fac[l]) * (fac[r] / fac[l])), 0.0)
+    forward = lows[n, r] * highs[m, r + n]
+    reverse = highs[m, r] * lows[n, l]
+    base = lows[1, r] * highs[1, r + 1] - highs[1, r] * lows[1, r - 1]  # [low, high]
+    inner = np.zeros((kp, 2 * kp), dtype=complex)  # I_m in row r
     for j in range(1, kp):
-        inner[j] = highs[1] @ inner[j - 1] + base @ highs[j - 1]
-    nested = np.zeros_like(highs)  # S(n, m) for the current n
-    step = max(1, _PAIRS_PER_BLOCK // kp**3)
-    for lo in range(0, kp, step):
-        ns = np.arange(lo, min(lo + step, kp))
-        b, m, row = np.ogrid[:len(ns), :kp, :kp]  # axes (n, m, row) of every block stack
-        n = ns[b]
-        monomials = np.zeros((len(ns), kp, kp, kp), dtype=complex)  # theta^n bartheta^m
-        monomials[b, m, n, m] = 1.0
-        direct = _quantize_stack(dfm, monomials.reshape(-1, kp, kp), Ordering.ANTINORMAL).reshape(monomials.shape)
-        del monomials
-        # theta^n bartheta^m: row -> row + n - m with top = row + n < kp and col >= 0
-        pb, pm, pr = np.nonzero((row + n < kp) & (row + n - m >= 0))
-        pn = ns[pb]
-        closed = np.zeros_like(direct)
-        closed[pb, pm, pr, pr + pn - pm] = fac[pr + pn] / np.sqrt(fac[pr] * fac[pr + pn - pm])
-        # each difference is taken in place, into a stack not needed after it: |a - b| = |b - a| exactly
-        res_int = max(res_int, float(np.max(np.abs(np.subtract(direct, closed, out=direct)))))
-        del direct
-        forward = lows[ns, None] @ highs
-        res_prod = max(res_prod, float(np.max(np.abs(np.subtract(closed, forward, out=closed)))))
-        del closed
-        # high^m @ low^n: row l + n -> l + m for l < kp - max(n, m)
-        pb, pm, pl = np.nonzero(row + np.maximum(m, n) < kp)
-        pn = ns[pb]
-        rev = np.zeros_like(forward)
-        rev[pb, pm, pl + pm, pl + pn] = np.sqrt((fac[pl + pn] / fac[pl]) * (fac[pl + pm] / fac[pl]))
-        reverse = highs @ lows[ns, None]
-        res_rev = max(res_rev, float(np.max(np.abs(np.subtract(rev, reverse, out=rev)))))
-        del rev
-        forward -= reverse  # then minus S(n), n by n: forward - reverse - nested
-        del reverse
-        for i, n_i in enumerate(ns):
-            forward[i] -= nested
-            nested = lows[1] @ nested + inner @ lows[n_i]
-        res_comm = max(res_comm, float(np.max(np.abs(forward))))
-        del forward
-    rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", res_int)
-    rep.add("closed mixed form = low^n @ high^m, all n,m", res_prod)
-    rep.add("reversed product high^m @ low^n matches its closed form, all n,m", res_rev)
+        inner[j, :kp] = highs[1, r] * inner[j - 1, r - 1] + base * highs[j - 1, r]
+    nested = np.zeros_like(inner)  # S(n, m) in row r, for the current n
+    res_comm = 0.0
+    for i in range(kp):
+        res_comm = max(res_comm, float(np.max(np.abs(forward[i] - reverse[i] - nested[:, :kp]))))
+        nested[:, :kp] = lows[1, r] * nested[m, r + 1] + inner[m, r] * lows[i, r + 1 - m]
+    rep.add("closed mixed form = quantize(theta^n bartheta^m), all n,m", np.max(np.abs(direct - closed)))
+    rep.add("closed mixed form = low^n @ high^m, all n,m", np.max(np.abs(closed - forward)))
+    rep.add("reversed product high^m @ low^n matches its closed form, all n,m", np.max(np.abs(reverse - rev)))
     rep.add("[low^n, high^m] = nested first-order commutator sum, all n,m", res_comm)
     return rep
 

@@ -1,9 +1,10 @@
 """``check_mixed_quantization`` against its pair-by-pair form.
 
 ``mixed_residuals_by_pairs`` walks every pair (n, m) in turn, with one
-matrix per power and the nested commutator sums carried as single
-matrices; ``check_mixed_quantization`` covers all m of one n at once on
-(kprime, kprime, kprime) stacks.  The four residuals must agree.
+dense matrix per power and the nested commutator sums carried as single
+matrices; ``check_mixed_quantization`` holds each of those one-diagonal
+matrices as the vector of its diagonal and covers all (n, m) at once.
+The four residuals must agree.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ from pgquant import (
     ladder,
     ladder_dag,
     quantize,
-    quantize_mixed_monomial,
 )
 from pgquant.qnum import factorials
+
+from fock_closed_forms import quantize_mixed_monomial
 
 
 def mixed_residuals_by_pairs(dfm) -> list[float]:

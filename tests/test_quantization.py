@@ -12,7 +12,6 @@ from pgquant import (
     Ordering,
     ParaPoly,
     VerificationReport,
-    basis_index,
     basis_tuples,
     check_kfermionic,
     check_mixed_quantization,
@@ -27,7 +26,6 @@ from pgquant import (
     q_power_N,
     qnumber,
     quantize,
-    quantize_mixed_monomial,
     random_poly,
     rescale_B,
     resolution_of_unity,
@@ -35,6 +33,7 @@ from pgquant import (
 )
 
 from coherent_pairing import coherent_bra, coherent_ket
+from fock_closed_forms import basis_index, quantize_mixed_monomial
 
 ROOT4_2 = 2.0 ** 0.25
 

@@ -1,13 +1,14 @@
 """The single-mode checks of ``verify`` against the forms they replace, to the bit.
 
-``check_mixed_quantization`` covers the values of n in blocks, the sampled
-checks draw each chunk of trials in one call and conjugate it as one
-stack, and ``check_ordering_products`` quantizes both generators as one
-stack per ordering.  The oracles below are those checks written one n,
-one trial or one generator at a time; the residuals must be equal, not
-merely close, so that ``verify`` prints the same report.  The 1e-12
-comparisons with the per-pair and per-trial loops stay in
-``test_mixed_oracle.py`` and ``test_stack_oracle.py``.
+``check_mixed_quantization`` holds every one-diagonal matrix as the vector
+of its diagonal and covers all (n, m) at once, the sampled checks draw
+each chunk of trials in one call and conjugate it as one stack, and
+``check_ordering_products`` quantizes both generators as one stack per
+ordering.  The oracles below are those checks written one n, one trial or
+one generator at a time, the mixed one with dense matrix products; the
+residuals must be equal, not merely close, so that ``verify`` prints the
+same report.  The 1e-12 comparisons with the per-pair and per-trial loops
+stay in ``test_mixed_oracle.py`` and ``test_stack_oracle.py``.
 """
 
 import tracemalloc
@@ -32,10 +33,9 @@ from pgquant.qnum import factorials
 from pgquant.quantization import Ordering, _quantize_stack, _trial_chunks, gather_contract
 from pgquant.symbols import _upper_gather
 
-# k' = 2 to 9 (one block), 10 to 12 (blocks of 8, 6 and 4, the last one
-# short at 10 and 11), 15 and 16 (blocks of 2, the last one short at 15),
-# 32 (blocks of one)
-KS = [4, 8, 10, 16, 18, 20, 22, 24, 30, 32, 64]
+# k' = 2 to 32, and 48, where the residuals of the products reach 1e28 and
+# any product rounded otherwise than the dense one would show
+KS = [4, 8, 10, 16, 18, 20, 22, 24, 30, 32, 64, 96]
 
 
 def chunk_plus_one(dfm):
@@ -83,10 +83,10 @@ def test_blocked_mixed_sweep_equals_sweep_by_n(k):
 
 
 def test_blocked_mixed_sweep_memory_stays_within_a_few_stacks():
-    # k' = 32 takes one n per block.  The sweep keeps lows, highs, the
-    # inner sums and the nested sums, each k'^3 entries, and a few block
-    # stacks of as many; it measures 7.7 of them.  Stacking all k'^2
-    # monomials at once would take k' = 32.
+    # At k' = 32 the check holds a few (n, m, r) arrays of k'^3 entries:
+    # the quantized stack of monomials and its diagonals, both products
+    # and the two closed forms; it measures 7.3 stacks.  Quantizing all
+    # k'^2 monomials as separate matrices would take k' = 32.
     dfm = deformation(64)
     stack_bytes = 16 * dfm.kprime**3
     check_mixed_quantization(dfm)  # fill the cached tables
