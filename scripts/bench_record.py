@@ -12,7 +12,7 @@ The file, written to the repository root, holds:
   ``dequantize``, ``star`` and ``demo``, each run as ``python -m pgquant``
   in a fresh process, median and quartiles over five runs;
 - the output of ``perfbench/grid.py``;
-- the machine and interpreter.
+- the machine and interpreter, and the boot the record was made in.
 
 It runs those scripts and the CLI only as child processes and imports
 nothing from the tree, so the same command measures any commit that has
@@ -41,6 +41,9 @@ WORKLOADS = ("verify", "multimode", "products", "star")
 SEEDS = list(range(11, 16))
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "peak_rss_mb")
 CLI_RUNS = 5
+# Changes at every boot of a Linux kernel: two records that differ here come
+# from different sessions of the machine and are not to be compared.
+BOOT_ID = Path("/proc/sys/kernel/random/boot_id")
 # Command name and arguments after ``python -m pgquant``; MATRIX stands for a
 # JSON file written by ``pgquant matrix theta --k 16``.
 MATRIX = "MATRIX"
@@ -117,6 +120,7 @@ def machine() -> dict:
                                 capture_output=True, text=True, check=True).stdout.strip(),
         "cpus": os.cpu_count(),
         "memory_gib": round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
+        "boot_id": BOOT_ID.read_text().strip() if BOOT_ID.exists() else None,
     }
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.exists():

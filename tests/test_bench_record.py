@@ -47,3 +47,15 @@ def test_every_child_keeps_its_bytecode_outside_the_tree(tmp_path, monkeypatch):
     assert all("PYTHONDONTWRITEBYTECODE" not in env for env in envs)
     assert all(env["PYTHONPATH"] == str(tree / "src") for env in envs[runs:-1])
     assert (tree / "BENCH_fake.json").is_file()
+
+
+def test_record_names_the_boot_it_was_made_in(tmp_path, monkeypatch):
+    module = load()
+    monkeypatch.setattr(module.subprocess, "run",
+                        lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0, stdout="2.0\n"))
+    boot = tmp_path / "boot_id"
+    boot.write_text("0f3c9a52-6e1d-4b8a-9c1e-2d7f5b3a8e61\n")
+    monkeypatch.setattr(module, "BOOT_ID", boot)
+    assert module.machine()["boot_id"] == "0f3c9a52-6e1d-4b8a-9c1e-2d7f5b3a8e61"
+    monkeypatch.setattr(module, "BOOT_ID", tmp_path / "absent")
+    assert module.machine()["boot_id"] is None
