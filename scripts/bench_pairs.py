@@ -6,10 +6,14 @@ Pair i runs ``perfbench/run.py --workload W --seed 11+i --trace 0`` at
 the benchmark's own run length once in each tree, each run in its own process: parent first
 in even pairs, change first in odd ones, so that drift of the machine
 over the minutes of a comparison falls on both sides alike.  For each
-end-to-end metric it prints the median and quartiles of either side and
-in how many pairs the change read lower.  Two records of
-``bench_record.py`` made one after the other cannot tell drift from a
-change; pairs can.  Every run must report ``correct`` with no failed
+end-to-end metric it prints the median and quartiles of either side, the
+relative change of the medians and in how many pairs the change read
+lower.  Where the parent tree has a ``BENCHMARK.json``, each metric also
+gets the ``bound`` of its ``end_to_end`` entry there and a verdict: ``ok``
+when the change of the medians is within the bound, ``WORSE`` when it is
+worse by more; the first line names the metrics that are worse, if any.
+Two records of ``bench_record.py`` made one after the other cannot tell
+drift from a change; pairs can.  Every run must report ``correct`` with no failed
 operation, or the script stops with exit status 1.
 
 Check out or ``git archive`` the two commits to compare into directories
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -57,8 +62,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def end_to_end_bounds(tree: Path) -> dict[str, tuple[float, str]]:
+    """metric -> (bound, better) from the ``end_to_end`` entries of the
+    tree's ``BENCHMARK.json``; empty when the tree has none."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {e["name"]: (float(e["bound"]), e["better"]) for e in json.loads(path.read_text()).get("end_to_end", [])}
+
+
+def verdict(parent_median: float, change_median: float, bound: tuple[float, str] | None) -> tuple[float, str]:
+    """The relative change of the medians and whether it stays within ``bound``."""
+    if parent_median == 0:
+        rel = 0.0 if change_median == 0 else math.copysign(math.inf, change_median)
+    else:
+        rel = change_median / parent_median - 1.0
+    if bound is None:
+        return rel, "-"
+    limit, better = bound
+    worse = rel > limit if better == "lower" else rel < -limit
+    return rel, "WORSE" if worse else "ok"
+
+
 def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) -> list[str]:
     """Run the pairs and return the report lines."""
+    bounds = end_to_end_bounds(parent)
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         order = [("parent", parent, Path(tmp, "parent")), ("change", change, Path(tmp, "change"))]
@@ -66,15 +94,21 @@ def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) 
             for side, tree, pycache in order if i % 2 == 0 else order[::-1]:
                 runs[side].append(run_once(tree, runner, workload, FIRST_SEED + i, pycache))
                 print(f"pair {i + 1}/{pairs} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-    lines = [f"{workload}: {pairs} alternating pairs, seeds {FIRST_SEED}..{FIRST_SEED + pairs - 1}",
-             f"{'metric':<12} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}  change lower"]
+    lines, worse = [f"{'metric':<12} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
+                    f"{'change':>8} {'bound':>6} {'verdict':>7}  change lower"], []
     for m in METRICS:
         a, b = ([r[m] for r in runs[side]] for side in ("parent", "change"))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(a), quartiles(b)
         lower = sum(y < x for x, y in zip(a, b))
+        rel, word = verdict(pmed, cmed, bounds.get(m))
+        if word == "WORSE":
+            worse.append(m)
+        bound = f"{bounds[m][0]:.0%}" if m in bounds else "-"
         lines.append(f"{m:<12} {f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':>34} "
-                     f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34}  {lower}/{pairs}")
-    return lines
+                     f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34} {rel:>+8.1%} {bound:>6} {word:>7}  {lower}/{pairs}")
+    summary = ("no bounds (the parent has no BENCHMARK.json)" if not bounds
+               else f"worse than its bound: {', '.join(worse)}" if worse else "no metric worse than its bound")
+    return [f"{workload}: {pairs} alternating pairs, seeds {FIRST_SEED}..{FIRST_SEED + pairs - 1}; {summary}"] + lines
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ from .algebra import (
     weight,
 )
 from .bargmann import derivative, from_bargmann, multiply_theta, to_bargmann
-from .expr import ExprSyntaxError, eval_expression, parse, poly_to_expr
+from .expr import ExprSyntaxError, parse, poly_to_expr
 from .qnum import Deformation, deformation, qfactorial, qnumber
 from .quantization import (
     FockOperator,
@@ -76,7 +76,6 @@ __all__ = [
     "check_ordering_products",
     "deformation",
     "derivative",
-    "eval_expression",
     "from_bargmann",
     "hermiticity_residual",
     "inner_product",

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import expr as expr_mod
 from .algebra import ParaPoly, check_size, poly_to_dict
-from .qnum import deformation
+from .qnum import deformation, factorials
 from .quantization import (
     FockOperator,
     check_kfermionic,
@@ -100,8 +100,8 @@ def _read_operator(path: str) -> FockOperator:
 
 def _parse_poly(text: str, k: int, modes: int) -> ParaPoly:
     dfm = deformation(k)
-    ast = expr_mod.parse(text, modes)
-    return expr_mod.eval_expression(ast, dfm, modes)
+    factorials(dfm)  # refuses k past the tables' float64 range before any tensor is built
+    return expr_mod.parse(text, dfm, modes)
 
 
 def _cmd_verify(args) -> int:
@@ -206,8 +206,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_k(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--k", type=int, required=required,
+def _add_k(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True,
                    help="deformation order (even, >= 4); nilpotency order is k/2")
 
 
@@ -291,9 +291,6 @@ def main(argv=None) -> int:
         if "modes" in vars(args):  # before any basis or matrix is built
             check_size(deformation(args.k), args.modes)
         return args.handler(args)
-    except expr_mod.ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Parser, evaluator and printer for generator expressions.
+"""Parser and printer for generator expressions.
 
 Grammar (whitespace-insensitive)::
 
@@ -15,6 +15,11 @@ value (``2``, ``1.5e-3``, ``2i``, bare ``i``); a general complex constant
 is written as a parenthesized sum, ``(1+2i)``.  ``*`` is the
 noncommutative algebra product and is evaluated left to right exactly as
 written -- input order is never silently canonicalized.
+
+The parser's actions compute the polynomial as they go: each rule returns
+a ``ParaPoly``, and each operand is evaluated before the operand that
+follows it.  Lexical errors are raised before any arithmetic, grammar
+errors once the prefix before them has been evaluated.
 """
 
 from __future__ import annotations
@@ -27,15 +32,7 @@ from .qnum import Deformation
 
 __all__ = [
     "ExprSyntaxError",
-    "Lit",
-    "Gen",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Pow",
     "parse",
-    "eval_expression",
     "poly_to_expr",
 ]
 
@@ -46,46 +43,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: complex
-
-
-@dataclass(frozen=True)
-class Gen:
-    mode: int
-    barred: bool
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
 
 
 _TOKEN_RE = re.compile(
@@ -120,8 +77,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, modes: int):
+    def __init__(self, text: str, dfm: Deformation, modes: int):
         self.text = text
+        self.dfm = dfm
         self.modes = modes
         self.tokens = _tokenize(text)
         self.i = 0
@@ -140,35 +98,35 @@ class _Parser:
         tok = self._peek()
         return tok is not None and tok.kind == "op" and tok.text in ops
 
-    def parse(self):
-        node = self._expr()
+    def parse(self) -> ParaPoly:
+        value = self._expr()
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-        return node
+        return value
 
-    def _expr(self):
-        node = self._term()
+    def _expr(self) -> ParaPoly:
+        value = self._term()
         while self._at_op("+", "-"):
             op = self._next().text
             rhs = self._term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def _term(self):
-        node = self._unary()
+    def _term(self) -> ParaPoly:
+        value = self._unary()
         while self._at_op("*"):
             self._next()
-            node = Mul(node, self._unary())
-        return node
+            value = value * self._unary()
+        return value
 
-    def _unary(self):
+    def _unary(self) -> ParaPoly:
         if self._at_op("-"):
             self._next()
-            return Neg(self._unary())
+            return -self._unary()
         return self._power()
 
-    def _power(self):
+    def _power(self) -> ParaPoly:
         base = self._atom()
         if self._at_op("^"):
             self._next()
@@ -178,31 +136,34 @@ class _Parser:
             if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
                 raise ExprSyntaxError("integer power expected after '^'", tok.pos)
             self._next()
-            return Pow(base, int(tok.text))
+            out = ParaPoly.unit(self.dfm, self.modes)
+            for _ in range(int(tok.text)):
+                out = out * base
+            return out
         return base
 
-    def _atom(self):
+    def _atom(self) -> ParaPoly:
         tok = self._peek()
         if tok is None:
             raise ExprSyntaxError("unexpected end of input", len(self.text))
         if tok.kind == "num":
             self._next()
-            return Lit(_literal_value(tok.text))
+            return ParaPoly.constant(self.dfm, self.modes, _literal_value(tok.text))
         if tok.kind == "gen":
             self._next()
             return self._generator(tok)
         if self._at_op("("):
             self._next()
-            node = self._expr()
+            value = self._expr()
             if not self._at_op(")"):
                 where = self._peek()
                 pos = where.pos if where is not None else len(self.text)
                 raise ExprSyntaxError("expected ')'", pos)
             self._next()
-            return node
+            return value
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def _generator(self, tok: _Token) -> Gen:
+    def _generator(self, tok: _Token) -> ParaPoly:
         barred = tok.text.startswith("bth")
         digits = tok.text[3:] if barred else tok.text[2:]
         if digits == "":
@@ -217,7 +178,7 @@ class _Parser:
             raise ExprSyntaxError(
                 f"unknown generator index {mode} (modes=1..{self.modes})", tok.pos
             )
-        return Gen(mode, barred)
+        return ParaPoly.generator(self.dfm, self.modes, mode, barred=barred)
 
 
 def _literal_value(text: str) -> complex:
@@ -228,70 +189,43 @@ def _literal_value(text: str) -> complex:
     return complex(float(text), 0.0)
 
 
-def parse(text: str, modes: int = 1):
-    """Parse an expression; generator indices are validated against ``modes``."""
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    return _Parser(text, modes).parse()
-
-
-def eval_expression(node, dfm: Deformation, modes: int = 1) -> ParaPoly:
-    """Evaluate a parsed expression to a polynomial.
+def parse(text: str, dfm: Deformation, modes: int = 1) -> ParaPoly:
+    """Parse an expression straight to a polynomial; generator indices are
+    validated against ``modes``.
 
     Products multiply in the algebra exactly in the order written, so
-    ``bth*th`` and ``th*bth`` evaluate to polynomials differing by the
+    ``bth*th`` and ``th*bth`` give polynomials differing by the
     commutation phase.
     """
-    if isinstance(node, Lit):
-        return ParaPoly.constant(dfm, modes, node.value)
-    if isinstance(node, Gen):
-        if node.mode > modes:
-            raise ValueError(f"generator index {node.mode} exceeds modes={modes}")
-        return ParaPoly.generator(dfm, modes, node.mode, barred=node.barred)
-    if isinstance(node, Neg):
-        return -eval_expression(node.operand, dfm, modes)
-    if isinstance(node, Add):
-        return eval_expression(node.left, dfm, modes) + eval_expression(node.right, dfm, modes)
-    if isinstance(node, Sub):
-        return eval_expression(node.left, dfm, modes) - eval_expression(node.right, dfm, modes)
-    if isinstance(node, Mul):
-        return eval_expression(node.left, dfm, modes) * eval_expression(node.right, dfm, modes)
-    if isinstance(node, Pow):
-        out = ParaPoly.unit(dfm, modes)
-        base = eval_expression(node.base, dfm, modes)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _fmt_float(x: float) -> str:
-    # repr round-trips exactly through float()
-    return repr(x)
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    return _Parser(text, dfm, modes).parse()
 
 
 def _fmt_complex(c: complex) -> str:
+    # repr round-trips exactly through float()
     re_, im = c.real, c.imag
     if im == 0.0:
-        return _fmt_float(re_)
+        return repr(re_)
     if re_ == 0.0:
-        return _fmt_float(im) + "i"
+        return repr(im) + "i"
     sign = "+" if im >= 0 else "-"
-    return f"({_fmt_float(re_)}{sign}{_fmt_float(abs(im))}i)"
+    return f"({re_!r}{sign}{abs(im)!r}i)"
 
 
 def poly_to_expr(p: ParaPoly) -> str:
     """Render a polynomial as a parseable expression.
 
-    Round-trips exactly: parsing and evaluating the output reproduces the
-    same coefficients, because the monomial factors are emitted in
-    canonical order (no reordering phases) and floats are printed with
-    full precision.
+    Round-trips exactly: parsing the output reproduces the same
+    coefficients, because the monomial factors are emitted in canonical
+    order (no reordering phases) and floats are printed with full
+    precision.  ``p.terms`` is in row-major order, which is sorted order.
     """
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     parts = []
-    for (theta, bar), c in sorted(p.terms.items()):
+    for (theta, bar), c in terms.items():
         gens = []
         for i, power in enumerate(theta):
             if power:

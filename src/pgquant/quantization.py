@@ -203,12 +203,12 @@ def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
     coefficient (s, t) times T[s, t, n] along the diagonal s - t = m - n,
     from its first entry, so the sums for (n, m) and (m, n) run in the same
     order and the image of the conjugate is exactly the adjoint.  Cached."""
-    kp = dfm.kprime
+    kp, table = dfm.kprime, mode_table(dfm)  # first, as it refuses a k past the factorials' range
     n, m, j = np.ogrid[:kp, :kp, :kp]
     s, t = j + np.maximum(m - n, 0), j + np.maximum(n - m, 0)
     inside = (s < kp) & (t < kp)
     s, t = s.clip(max=kp - 1), t.clip(max=kp - 1)
-    index, weight_ = s * kp + t, np.where(inside, mode_table(dfm)[s, t, n], 0.0)
+    index, weight_ = s * kp + t, np.where(inside, table[s, t, n], 0.0)
     for table in (index, weight_):
         table.setflags(write=False)
     return index, weight_
@@ -225,18 +225,6 @@ def _placement(dfm: Deformation, d: int) -> tuple[np.ndarray, np.ndarray]:
     for table in (states, place):
         table.setflags(write=False)
     return states, place
-
-
-@lru_cache(maxsize=None)
-def _shift_weights(dfm: Deformation, d: int) -> np.ndarray:
-    """Weights w that send the exponent row (b, s, t) of a term of symbol b
-    in a stack to w . (b, s, t) = b dim^2 + (s - t) . place: the flat offset,
-    in the (B, dim, dim) output, from row n of matrix 0 to the entry the term
-    gives in that row.  Cached per (dfm, d), read-only."""
-    place = _placement(dfm, d)[1]
-    weights = np.concatenate(([dfm.kprime ** (2 * d)], place, -place))
-    weights.setflags(write=False)
-    return weights
 
 
 def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
@@ -281,7 +269,7 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     states, place = _placement(dfm, d)
     expo, coeffs = _nonzero(stack)
     theta, bar = expo[:, 1:d + 1], expo[:, d + 1:]
-    shift = expo @ _shift_weights(dfm, d)
+    shift = expo[:, 0] * dim**2 + (theta - bar) @ place  # from entry (n, n) of matrix 0 to the term's in row n
     flat = np.zeros(batch * dim * dim, dtype=complex)
     block = max(1, _PAIRS_PER_BLOCK // dim)
     for lo in range(0, len(coeffs), block):
@@ -483,6 +471,7 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
     Several modes: the per-mode commutators plus vanishing cross-mode
     commutators and the factorized quantization of two-mode monomials.
     """
+    factorials(dfm)  # refuses k past the tables' float64 range before any matrix is built
     rep = VerificationReport(tolerance)
     kp = dfm.kprime
     if modes == 1:
@@ -540,9 +529,7 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
     return rep
 
 
-def check_kfermionic(
-    dfm: Deformation, q_param: complex | None = None, tolerance: float = 1e-10
-) -> VerificationReport:
+def check_kfermionic(dfm: Deformation, tolerance: float = 1e-10) -> VerificationReport:
     """Check the rescaled pair against the generalized-fermion algebra of
     order kprime.
 
@@ -553,12 +540,9 @@ def check_kfermionic(
     relations, which involve a square root of the deformation parameter.
     Both branches of that square root are reported; the principal branch
     ``exp(i*pi/kprime)`` is the one that holds.
-
-    ``q_param`` overrides the algebra's deformation parameter (default
-    ``exp(2*pi*i/kprime)``, matching the commutation phase q_k).
     """
     kp = dfm.kprime
-    qF = cmath.exp(2j * math.pi / kp) if q_param is None else complex(q_param)
+    qF = cmath.exp(2j * math.pi / kp)
     f_minus, f_plus = (op.mat for op in rescale_B(dfm))
     ops = np.stack([f_minus, f_plus, f_plus.conj().T, f_minus.conj().T, number_operator(dfm).mat])
     one, zero = np.eye(kp), np.zeros((kp, kp))
@@ -573,7 +557,7 @@ def check_kfermionic(
         ("(ii) [N, f+^+] = -f+^+", 4, 2, 2, 4, 1, -ops[2]),
         ("(ii) [N, f-^+] = +f-^+", 4, 3, 3, 4, 1, ops[3]),
     ]
-    principal = cmath.sqrt(qF) if q_param is not None else cmath.exp(1j * math.pi / kp)
+    principal = cmath.exp(1j * math.pi / kp)
     for branch, label in ((principal, "principal"), (-principal, "negated")):
         relations += [(f"(iii) f- f+^+ = qF^-1/2 f+^+ f- [{label} branch]", 0, 2, 2, 0, 1.0 / branch, zero),
                       (f"(iii) f+ f-^+ = qF^+1/2 f-^+ f+ [{label} branch]", 1, 3, 3, 1, branch, zero)]

@@ -86,11 +86,11 @@ def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
     sums U[s, t, n] times matrix entry (n, n + s - t) over n, with the
     column clipped where it leaves the matrix, as U is zero there.  Cached
     per deformation, read-only."""
-    kp = dfm.kprime
+    kp, inverse = dfm.kprime, _inverse_table(dfm)  # first, as it refuses a k past the factorials' range
     s, t, n = np.ogrid[:kp, :kp, :kp]
     index = n * kp + (n + s - t).clip(0, kp - 1)
     index.setflags(write=False)
-    return index, _inverse_table(dfm)
+    return index, inverse
 
 
 def upper_symbol(op: FockOperator) -> ParaPoly:

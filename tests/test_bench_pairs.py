@@ -94,3 +94,46 @@ def test_missing_runner_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         load().main([str(tmp_path), str(tmp_path), "--workload", "verify"])
     assert exc.value.code == 2
+
+
+END_TO_END = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+              {"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+@pytest.mark.parametrize("op_ms, word, summary", [
+    (5.0, "ok", "no metric worse than its bound"),
+    (12.0, "ok", "no metric worse than its bound"),  # +20 %, within 25 %
+    (13.0, "WORSE", "worse than its bound: op_p50_ms"),  # +30 %
+])
+def test_verdict_against_the_parents_bounds(tmp_path, capsys, op_ms, word, summary):
+    parent, change = fake_tree(tmp_path, "parent", 10.0), fake_tree(tmp_path, "change", op_ms)
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))  # the change's own file is not read
+    code = load().main([str(parent), str(change), "--workload", "verify", "--pairs", "2", "--runner", "run.py"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0].endswith(summary)
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    median = 0.001 * (11 + 12) / 2  # the fake runner adds 0.001 * seed
+    assert rows["op_p50_ms"][-4:-1] == [f"{(op_ms + median) / (10.0 + median) - 1:+.1%}", "25%", word]
+    assert rows["peak_rss_mb"][-4:-1] == ["+0.0%", "10%", "ok"]
+
+
+def test_verdict_without_bounds(tmp_path, capsys):
+    parent, change = fake_tree(tmp_path, "parent", 10.0), fake_tree(tmp_path, "change", 20.0)
+    assert load().main([str(parent), str(change), "--workload", "verify", "--pairs", "1", "--runner", "run.py"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("no bounds (the parent has no BENCHMARK.json)")
+    assert lines[2 + 2].split()[-4:-1] == ["+99.9%", "-", "-"]  # op_p50_ms, medians 10.011 and 20.011
+
+
+@pytest.mark.parametrize("parent, change, bound, rel, word", [
+    (10.0, 12.5, (0.25, "lower"), 0.25, "ok"),  # at the bound is within it
+    (10.0, 7.0, (0.25, "higher"), -0.3, "WORSE"),
+    (0.0, 0.0, (0.1, "lower"), 0.0, "ok"),
+    (0.0, 1.0, (0.1, "lower"), float("inf"), "WORSE"),
+])
+def test_verdict_rule(parent, change, bound, rel, word):
+    assert load().verdict(parent, change, bound) == (pytest.approx(rel), word)

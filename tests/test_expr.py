@@ -10,7 +10,6 @@ from pgquant import (
     ExprSyntaxError,
     ParaPoly,
     deformation,
-    eval_expression,
     parse,
     poly_to_expr,
     random_poly,
@@ -18,7 +17,7 @@ from pgquant import (
 
 
 def ev(text, k=4, modes=1):
-    return eval_expression(parse(text, modes), deformation(k), modes)
+    return parse(text, deformation(k), modes)
 
 
 # ---------------------------------------------------------------- literals
@@ -88,6 +87,66 @@ def test_power_zero_is_unit():
     assert p.terms == {((0,), (0,)): 1.0 + 0j}
 
 
+# ---------------------------------------------------------------- evaluation
+
+
+def power(x, n):
+    out = ParaPoly.unit(x.dfm, x.d)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def arithmetic_corpus(dfm, d):
+    """(text, the same polynomial as ParaPoly arithmetic written out)."""
+    def c(v):
+        return ParaPoly.constant(dfm, d, v)
+
+    if d == 1:
+        th, bth = ParaPoly.generator(dfm, 1, 1), ParaPoly.generator(dfm, 1, 1, barred=True)
+        return [
+            ("-th", -th),
+            ("th - bth", th - bth),
+            ("2*th - 3 + bth", c(2.0) * th - c(3.0) + bth),
+            ("3 - -th", c(3.0) - (-th)),
+            ("th^0", power(th, 0)),
+            ("bth^0*th", power(bth, 0) * th),
+            ("(th+bth)^3", power(th + bth, 3)),
+            ("2^3", power(c(2.0), 3)),
+            ("bth*th", bth * th),
+            ("th*bth", th * bth),
+            ("th*bth*th - bth", th * bth * th - bth),
+            ("-(th - 2i*bth)^2 * th", -power(th - c(2j) * bth, 2) * th),
+            ("(1+2i)*bth^2*th", (c(1.0) + c(2j)) * power(bth, 2) * th),
+        ]
+    th1, th2 = (ParaPoly.generator(dfm, 2, i) for i in (1, 2))
+    bth1, bth2 = (ParaPoly.generator(dfm, 2, i, barred=True) for i in (1, 2))
+    return [
+        ("-th2", -th2),
+        ("th1*bth2 + 2", th1 * bth2 + c(2.0)),
+        ("bth2*th1", bth2 * th1),
+        ("th1*bth2", th1 * bth2),
+        ("th2*th1 - th1*th2", th2 * th1 - th1 * th2),
+        ("(th1 + bth2)^2 - -th2", power(th1 + bth2, 2) - (-th2)),
+        ("bth1^0*th2", power(bth1, 0) * th2),
+        ("(th1 - bth1 + th2*bth2)^3", power(th1 - bth1 + th2 * bth2, 3)),
+        ("-(th1 - bth1)*(th2 + .5i)", -(th1 - bth1) * (th2 + c(0.5j))),
+    ]
+
+
+@pytest.mark.parametrize("k, d", [(6, 1), (8, 1), (12, 1), (6, 2), (8, 2)])
+def test_parse_evaluates_as_the_written_arithmetic(k, d):
+    dfm = deformation(k)
+    got = {}
+    for text, expected in arithmetic_corpus(dfm, d):
+        got[text] = parse(text, dfm, d)
+        assert got[text] == expected, text
+        assert np.array_equal(got[text].coeffs, expected.coeffs), text
+    # written order is kept: the two orders differ by the commutation phase
+    swapped = ("bth*th", "th*bth") if d == 1 else ("bth2*th1", "th1*bth2")
+    assert got[swapped[0]] != got[swapped[1]]
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -107,19 +166,19 @@ def test_power_zero_is_unit():
 )
 def test_syntax_error_offsets(text, offset):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse(text)
+        parse(text, deformation(4))
     assert exc.value.position == offset
     assert f"offset {offset}" in str(exc.value)
 
 
 def test_generator_index_validation():
     with pytest.raises(ExprSyntaxError):
-        parse("th", modes=2)  # bare name is ambiguous with several modes
+        parse("th", deformation(4), modes=2)  # bare name is ambiguous with several modes
     with pytest.raises(ExprSyntaxError):
-        parse("th3", modes=2)
+        parse("th3", deformation(4), modes=2)
     with pytest.raises(ExprSyntaxError):
-        parse("th0", modes=2)
-    parse("th2", modes=2)
+        parse("th0", deformation(4), modes=2)
+    parse("th2", deformation(4), modes=2)
 
 
 # ---------------------------------------------------------------- printing
@@ -145,7 +204,7 @@ def test_print_parse_round_trip_exact(k_half, seed):
     rng = np.random.default_rng(seed)
     p = random_poly(dfm, rng)
     text = poly_to_expr(p)
-    back = eval_expression(parse(text, 1), dfm, 1)
+    back = parse(text, dfm, 1)
     assert back.distance(p) == 0.0
 
 
@@ -154,7 +213,7 @@ def test_print_parse_round_trip_two_modes():
     rng = np.random.default_rng(97)
     for _ in range(15):
         p = random_poly(dfm, rng, modes=2)
-        back = eval_expression(parse(poly_to_expr(p), 2), dfm, 2)
+        back = parse(poly_to_expr(p), dfm, 2)
         assert back.distance(p) == 0.0
 
 
@@ -170,5 +229,5 @@ def test_round_trip_complex_coefficients():
             ((1,), (1,)): 1.0,
         },
     )
-    back = eval_expression(parse(poly_to_expr(p), 1), dfm, 1)
+    back = parse(poly_to_expr(p), dfm, 1)
     assert back.distance(p) == 0.0
