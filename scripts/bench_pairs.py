@@ -1,6 +1,7 @@
-"""Compare two trees on one benchmark workload in alternating pairs of runs.
+"""Compare two trees on benchmark workloads in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload verify --pairs 10
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload verify star --pairs 10
 
 Pair i runs ``perfbench/run.py --workload W --seed 11+i --trace 0`` at
 the benchmark's own run length once in each tree, each run in its own process: parent first
@@ -12,7 +13,9 @@ lower.  Where the parent tree has a ``BENCHMARK.json``, each metric also
 gets the ``bound`` of its ``end_to_end`` entry there and a verdict: ``ok``
 when the change of the medians is within the bound, ``WORSE`` when it is
 worse by more; the first line names the metrics that are worse, if any.
-Two records of ``bench_record.py`` made one after the other cannot tell
+Several workloads run one after the other, each in its own pairs, and
+each gets its own table; a last line then gives the verdict over all of
+them.  Two records of ``bench_record.py`` made one after the other cannot tell
 drift from a change; pairs can.  Every run must report ``correct`` with no failed
 operation, or the script stops with exit status 1.
 
@@ -84,8 +87,9 @@ def verdict(parent_median: float, change_median: float, bound: tuple[float, str]
     return rel, "WORSE" if worse else "ok"
 
 
-def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) -> list[str]:
-    """Run the pairs and return the report lines."""
+def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) -> tuple[list[str], list[str]]:
+    """Run the pairs of one workload; return the report lines and the
+    metrics worse than their bounds."""
     bounds = end_to_end_bounds(parent)
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -106,16 +110,21 @@ def compare(parent: Path, change: Path, runner: str, workload: str, pairs: int) 
         bound = f"{bounds[m][0]:.0%}" if m in bounds else "-"
         lines.append(f"{m:<12} {f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':>34} "
                      f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>34} {rel:>+8.1%} {bound:>6} {word:>7}  {lower}/{pairs}")
-    summary = ("no bounds (the parent has no BENCHMARK.json)" if not bounds
-               else f"worse than its bound: {', '.join(worse)}" if worse else "no metric worse than its bound")
-    return [f"{workload}: {pairs} alternating pairs, seeds {FIRST_SEED}..{FIRST_SEED + pairs - 1}; {summary}"] + lines
+    head = f"{workload}: {pairs} alternating pairs, seeds {FIRST_SEED}..{FIRST_SEED + pairs - 1}; "
+    return [head + summary(bool(bounds), worse)] + lines, worse
+
+
+def summary(bounded: bool, worse: list[str]) -> str:
+    if not bounded:
+        return "no bounds (the parent has no BENCHMARK.json)"
+    return f"worse than its bound: {', '.join(worse)}" if worse else "no metric worse than its bound"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+", action="extend", help="one or more workload names")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--runner", default="perfbench/run.py", help="benchmark script, relative to each tree")
     args = parser.parse_args(argv)
@@ -124,12 +133,17 @@ def main(argv=None) -> int:
     for tree in (args.parent, args.change):
         if not (tree / args.runner).is_file():
             parser.error(f"{tree / args.runner} does not exist")
+    parent, change, worse = args.parent.resolve(), args.change.resolve(), []
     try:
-        lines = compare(args.parent.resolve(), args.change.resolve(), args.runner, args.workload, args.pairs)
+        for i, workload in enumerate(args.workload):
+            lines, bad = compare(parent, change, args.runner, workload, args.pairs)
+            print("\n" * (i > 0) + "\n".join(lines), flush=True)
+            worse += [f"{workload} {m}" for m in bad]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
+    if len(args.workload) > 1:
+        print(f"\noverall, {len(args.workload)} workloads: {summary(bool(end_to_end_bounds(parent)), worse)}")
     return 0
 
 

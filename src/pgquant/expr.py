@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive)::
     expr    := term (('+' | '-') term)*
     term    := unary ('*' unary)*
     unary   := '-' unary | power
-    power   := atom ('^' UINT)?
+    power   := atom ('^' UINT)?          UINT <= MAX_POWER
     atom    := NUMBER | GENERATOR | '(' expr ')'
 
 Generators are ``th<i>`` / ``bth<i>`` with 1-based mode indices; the index
@@ -35,6 +35,11 @@ __all__ = [
     "parse",
     "poly_to_expr",
 ]
+
+
+# The largest exponent; a base with no constant term vanishes by power
+# 2d(k'-1)+1, at most 473 (k = 238, two modes), where ``^n`` stops folding.
+MAX_POWER = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -135,10 +140,14 @@ class _Parser:
                 raise ExprSyntaxError("integer power expected after '^'", len(self.text))
             if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
                 raise ExprSyntaxError("integer power expected after '^'", tok.pos)
+            if int(tok.text) > MAX_POWER:
+                raise ExprSyntaxError(f"power {tok.text} exceeds the largest power {MAX_POWER}", tok.pos)
             self._next()
             out = ParaPoly.unit(self.dfm, self.modes)
             for _ in range(int(tok.text)):
                 out = out * base
+                if not out.coeffs.any():  # and stays zero, all +0
+                    break
             return out
         return base
 

@@ -13,8 +13,13 @@ to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
 orderings differ only by a phase q_k^e on that amplitude:
 
 * antinormal -- the kernel is merged by the phase-free prescription, e = 0,
-  so the map is ``gather_contract`` of the coefficient tensor, mode by mode,
-  or, for a symbol with at most dim terms, each term placed in turn;
+  and T[s, t, n] = [n+s]! r_n r_(n+s-t), r = 1/sqrt([.]!), so the map is,
+  mode by mode, one GEMM of the Hankel matrix [n+s]! with the coefficients
+  read along their diagonals (``gather_contract``), or, for a symbol with
+  at most dim terms, each term placed in turn.  The GEMM sums the same
+  terms in the same order for entry (n, m) of the image of conjugate(f) as
+  for entry (m, n) of that of f, so on one mode that image is exactly the
+  adjoint;
 * left / right -- the kernel is the algebra product of the words ket_n, f,
   w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
   completing the top degree; e sums ``product_phase`` of
@@ -197,21 +202,33 @@ def mode_table(dfm: Deformation) -> np.ndarray:
     return table
 
 
+def _hankel_map(series: np.ndarray, before: np.ndarray | None, after: np.ndarray | None) -> tuple:
+    """A map for ``gather_contract``, read-only: ``skew[i, p + kprime - 1]``,
+    the flat index of entry (i, i + p) of a (kprime, kprime) axis pair, and
+    of some entry of row i where i + p leaves 0..kprime-1; ``unskew[a *
+    kprime + b]``, the flat index of cell (a, a - b) of that skewed layout;
+    the Hankel matrix M[i, j] = series[i + j] of 2 kprime - 1 terms; the
+    (kprime, kprime) scaling ``before`` M, or 1, in the skewed layout and 0
+    off the axis pair; and the scaling ``after`` M as a column, or None."""
+    kp = (len(series) + 1) // 2
+    (i, p), j = np.ogrid[:kp, 1 - kp:kp], np.arange(kp)
+    skew, inside = i * kp + (i + p).clip(0, kp - 1), (i + p >= 0) & (i + p < kp)
+    before = inside * (1.0 if before is None else before.ravel()[skew])
+    after = None if after is None else after.reshape(-1, 1)
+    maps = (skew, (2 * kp * i + kp - 1 - j).ravel(), series[i + j], before[..., None], after)
+    for table in maps:
+        if table is not None:
+            table.setflags(write=False)
+    return maps
+
+
 @lru_cache(maxsize=None)
-def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
-    """``mode_table`` read by ``gather_contract``: entry (n, m) sums
-    coefficient (s, t) times T[s, t, n] along the diagonal s - t = m - n,
-    from its first entry, so the sums for (n, m) and (m, n) run in the same
-    order and the image of the conjugate is exactly the adjoint.  Cached."""
-    kp, table = dfm.kprime, mode_table(dfm)  # first, as it refuses a k past the factorials' range
-    n, m, j = np.ogrid[:kp, :kp, :kp]
-    s, t = j + np.maximum(m - n, 0), j + np.maximum(n - m, 0)
-    inside = (s < kp) & (t < kp)
-    s, t = s.clip(max=kp - 1), t.clip(max=kp - 1)
-    index, weight_ = s * kp + t, np.where(inside, table[s, t, n], 0.0)
-    for table in (index, weight_):
-        table.setflags(write=False)
-    return index, weight_
+def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
+    """``mode_table`` as ``gather_contract`` reads it, cached: entry (n, m)
+    is r_n r_m times the sum over s of H[n, s] = [n+s]!, zero from
+    n + s = kprime, times coefficient (s, s + n - m)."""
+    kp, fac = dfm.kprime, factorials(dfm)  # first, as it refuses a k past the factorials' range
+    return _hankel_map(np.concatenate([fac, np.zeros(kp - 1)]), None, 1.0 / np.sqrt(np.multiply.outer(fac, fac)))
 
 
 @lru_cache(maxsize=None)
@@ -227,32 +244,37 @@ def _placement(dfm: Deformation, d: int) -> tuple[np.ndarray, np.ndarray]:
     return states, place
 
 
-def gather_contract(x: np.ndarray, index: np.ndarray, weight_: np.ndarray) -> np.ndarray:
-    """Apply one single-mode map to every mode of each (kprime,) * 2d tensor
-    in a stack of shape (B,) + (kprime,) * 2d.
-
-    Mode i owns axes 1 + i and 1 + d + i (theta_i, bartheta_i, or row n_i,
-    column m_i).  With the axis pair (u, v) read as the flat index
-    u * kprime + v, out[a, b] = sum_j weight_[a, b, j] * x[index[a, b, j]],
-    one mode at a time: kprime^3 table entries, never a kprime^4 kernel.  The
-    gather takes kprime^3 entries per row of the stack and the other modes,
-    so the rows go in blocks: no temporary outgrows the stack, the table or
-    ``_PAIRS_PER_BLOCK``.
-    """
-    d, kp = x.ndim // 2, x.shape[1]
-    rows = x.shape[0] * kp ** (2 * d - 2)
-    block = max(1, rows // kp, _PAIRS_PER_BLOCK // kp**3)
-    pairs = x.transpose(0, *sum(zip(range(1, d + 1), range(d + 1, 2 * d + 1)), ()))  # theta_1, bartheta_1, ...
-    for _ in range(d):  # contract the last mode, then rotate it to the front
-        flat = pairs.reshape(rows, kp * kp)
-        out = np.empty_like(flat)
-        for lo in range(0, rows, block):  # one gathered block alive at a time
-            part = flat[lo:lo + block].take(index, axis=1)
-            out[lo:lo + block] = np.einsum("rabj,abj->rab", part, weight_).reshape(-1, kp * kp)
-            del part
-        pairs = out.reshape((-1,) + (kp * kp,) * d).transpose(0, d, *range(1, d))
-    out = pairs.reshape((-1,) + (kp,) * (2 * d)).transpose(0, *range(1, 2 * d + 1, 2), *range(2, 2 * d + 1, 2))
-    return np.add(out, 0.0, order="C")  # a sum of -0 terms would print as -0
+def gather_contract(x: np.ndarray, skew: np.ndarray, unskew: np.ndarray, matrix: np.ndarray,
+                    before: np.ndarray, after: np.ndarray | None) -> np.ndarray:
+    """Apply a ``_hankel_map`` to every mode of each (kprime,) * 2d tensor in
+    a stack (B,) + (kprime,) * 2d.  Mode i owns axes 1 + i and 1 + d + i.
+    Its axis pair x is read skewed and scaled, X[i, p] = before[i, p] *
+    x[i, i + p], then Y = matrix @ X and out[a, b] = after[a, b] *
+    Y[a, a - b], or Y[a, a - b] if ``after`` is None.  The pair goes in
+    front of the B axis and the other modes, so Y is one real GEMM on the
+    real and imaginary parts of a block of those rows; the blocks keep each
+    temporary within the stack or ``_PAIRS_PER_BLOCK``."""
+    d, kp, pair = x.ndim // 2, x.shape[1], x.shape[1] ** 2
+    rows = x.size // pair
+    block = max(1, rows // kp, _PAIRS_PER_BLOCK // (kp * (2 * kp - 1)))
+    # the last mode's pair in front: u_d, v_d, B, u_1, v_1, ..., u_(d-1), v_(d-1)
+    out = x.transpose(d, 2 * d, 0, *itertools.chain(*zip(range(1, d), range(d + 1, 2 * d))))
+    for i in range(d):
+        if i:  # mode m = d - i in front of the modes done: u_m, v_m, u_(m+1), v_(m+1), ..., B, ...
+            out = out.reshape(pair, -1, kp, kp).transpose(2, 3, 0, 1)
+        flat = out.reshape(pair, rows)  # a view on one mode, a copy on several
+        out = np.empty((pair, rows), dtype=complex)
+        for lo in range(0, rows, block):  # one skewed block alive at a time
+            part = flat[:, lo:lo + block].take(skew, axis=0).view(float)
+            part *= before  # on the real and imaginary parts, as a real scaling rounds them
+            y = (matrix @ part.reshape(kp, -1)).view(complex).reshape(skew.size, -1)
+            y.take(unskew, axis=0, out=out[:, lo:lo + block], mode="clip")
+        del flat
+        if after is not None:
+            np.multiply(out.view(float), after, out=out.view(float))
+    # u_1, v_1, ..., u_d, v_d, B to B, u_1, ..., u_d, v_1, ..., v_d
+    out = out.reshape((kp,) * (2 * d) + (-1,)).transpose(2 * d, *range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    return np.ascontiguousarray(out)
 
 
 def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> np.ndarray:
@@ -262,7 +284,7 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     of sparse symbols is as cheap as their terms."""
     batch, d, kp = stack.shape[0], stack.ndim // 2, dfm.kprime
     dim = kp**d
-    # placing a term costs about dim entries, the gather about k' dim^2 a symbol
+    # placing a term costs about dim entries, the GEMMs about 2 d k' dim^2 a symbol
     if ordering is Ordering.ANTINORMAL and np.count_nonzero(stack) > batch * dim:
         return gather_contract(stack, *_quantize_gather(dfm)).reshape(batch, dim, dim)
     table = mode_table(dfm).ravel()
@@ -296,8 +318,8 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
 
     Entry (n, m) integrates ket_n * f * weight * bra_m.  For the
     antinormal ordering the whole kernel is merged by the phase-free
-    prescription and factorizes over the modes, one ``gather_contract``
-    with ``mode_table``; a symbol with at most dim terms is cheaper to
+    prescription and factorizes over the modes, one Hankel GEMM a mode in
+    ``gather_contract``; a symbol with at most dim terms is cheaper to
     place term by term.  For ``left``/``right`` the symbol is kept to the
     left / right of the weight and the kernel is reduced with genuine
     q-phases, which couple the modes, so each term is placed with its own

@@ -1,11 +1,11 @@
 """Symbol maps between matrices and polynomials, and the induced star product.
 
 The lower symbol pairs a matrix with the coherent-state family; the upper
-symbol inverts antinormal quantization by one contraction with a cached
-inverse of ``mode_table``, in closed form from one series reciprocal, that
-of the truncated q-exponential.  Since quantization is a linear bijection
-onto the full matrix algebra, transporting the operator product back to
-symbols defines an associative star product on single-mode polynomials.
+symbol inverts antinormal quantization in closed form, as the same Hankel
+GEMM with the series reciprocal of the truncated q-exponential.  Since
+quantization is a linear bijection onto the full matrix algebra,
+transporting the operator product back to symbols defines an associative
+star product on single-mode polynomials.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .quantization import (
     FockOperator,
     Ordering,
     VerificationReport,
+    _hankel_map,
     _quantize_stack,
     _trial_chunks,
     gather_contract,
-    quantize,
 )
 
 __all__ = [
@@ -59,47 +59,27 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
 
 
 @lru_cache(maxsize=None)
-def _inverse_table(dfm: Deformation) -> np.ndarray:
-    """Inverse of ``mode_table`` in its (s, t, n) layout, cached per
-    deformation (read-only).  As [m]! [k'-1-m]! = [k'-1]!, each diagonal
-    block of T is a row scaling times a triangular Hankel block of
-    [k'-1]! e(x), e(x) = sum_(i<k') x^i / [i]! the truncated q-exponential.
-    So U reads g = 1/e(x) mod x^k' across the anti-diagonal n + s = k'-1:
-    U[s, t, n] = g_(n+s+1-k') sqrt([n]! [n+s-t]!) / [k'-1]! for n + s >= k'-1
-    and 0 <= n + s - t < k', and exactly 0 elsewhere."""
-    kp = dfm.kprime
-    fac = factorials(dfm)
+def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
+    """The inverse of ``mode_table`` as ``gather_contract`` reads it, cached.
+    As [m]! [k'-1-m]! = [k'-1]!, each diagonal block of T is a row scaling
+    times a triangular Hankel block of [k'-1]! e(x), e(x) = sum_(i<k') x^i /
+    [i]!.  So coefficient (s, t) sums G[s, n] = g_(n+s+1-k'), g = 1/e(x) mod
+    x^k', zero for n + s < k'-1, times entry (n, n + s - t) of the matrix
+    scaled by sqrt([n]! [n+s-t]!) / [k'-1]!."""
+    kp, fac = dfm.kprime, factorials(dfm)  # first, as it refuses a k past the factorials' range
     g = np.ones(kp)
     for i in range(1, kp):
         g[i] = -(g[i - 1::-1] / fac[1:i + 1]).sum()  # g_i = -sum_(j=1..i) g_(i-j) / [j]!
-    s, t, n = np.ogrid[:kp, :kp, :kp]
-    low, col = n + s + 1 - kp, n + s - t  # col >= 0 wherever low >= 0, as t < kp
-    root = np.sqrt(fac[n] * fac[col.clip(0, kp - 1)])
-    inverse = np.where((low >= 0) & (col < kp), g[low.clip(0)] * root / fac[kp - 1], 0.0)
-    inverse.setflags(write=False)
-    return inverse
-
-
-@lru_cache(maxsize=None)
-def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
-    """``_inverse_table`` read by ``gather_contract``: coefficient (s, t)
-    sums U[s, t, n] times matrix entry (n, n + s - t) over n, with the
-    column clipped where it leaves the matrix, as U is zero there.  Cached
-    per deformation, read-only."""
-    kp, inverse = dfm.kprime, _inverse_table(dfm)  # first, as it refuses a k past the factorials' range
-    s, t, n = np.ogrid[:kp, :kp, :kp]
-    index = n * kp + (n + s - t).clip(0, kp - 1)
-    index.setflags(write=False)
-    return index, inverse
+    scale = np.sqrt(np.multiply.outer(fac, fac)) / fac[kp - 1]
+    return _hankel_map(np.concatenate([np.zeros(kp - 1), g]), scale, None)
 
 
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
-    One ``gather_contract`` with the inverse table: the coefficient of
-    theta^s bartheta^t is ``sum_n U[s, t, n] * A[n, n + s - t]``.  U
-    inverts ``mode_table``, the table ``quantize`` itself reads through the
-    same helper, which keeps the two maps consistent by construction.
+    One ``gather_contract``: the coefficient of theta^s bartheta^t is
+    ``sum_n U[s, t, n] * A[n, n + s - t]`` with U = G times the scaling of
+    ``_upper_gather``, the closed-form inverse of ``mode_table``.
     """
     _require_single_mode(op.d, "upper_symbol")
     return ParaPoly(op.dfm, 1, gather_contract(op.mat[None], *_upper_gather(op.dfm))[0])
@@ -110,11 +90,11 @@ def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
     upper_symbol(quantize(f) @ quantize(g)).  Associative and
     noncommutative; star powers of a generator vanish at the algebra's
     nilpotency order, so the generators square to zero exactly when
-    that order is two."""
+    that order is two.  Both operands are quantized as one stack."""
     f._check_compatible(g)
     _require_single_mode(f.d, "moyal_star")
-    prod = quantize(f) @ quantize(g)
-    return upper_symbol(prod)
+    a, b = _quantize_stack(f.dfm, np.stack([f.coeffs, g.coeffs]), Ordering.ANTINORMAL)
+    return upper_symbol(FockOperator(f.dfm, 1, a @ b))
 
 
 def round_trip_residuals(dfm: Deformation, trials: int = 100, seed: int = 0) -> tuple[float, float]:

@@ -30,7 +30,8 @@ FAKE_RUN = textwrap.dedent("""
     if spec.get("fail"):
         raise SystemExit(3)
     seed = int(args.seed)
-    metrics = {m: {"value": v + 0.001 * seed, "unit": "x"} for m, v in spec["metrics"].items()}
+    values = dict(spec["metrics"], **spec.get("per_workload", {}).get(args.workload, {}))
+    metrics = {m: {"value": v + 0.001 * seed, "unit": "x"} for m, v in values.items()}
     print(json.dumps({"correct": spec.get("correct", True), "attempted": 4, "failed": 0, "metrics": metrics}))
 """)
 
@@ -137,3 +138,41 @@ def test_verdict_without_bounds(tmp_path, capsys):
 ])
 def test_verdict_rule(parent, change, bound, rel, word):
     assert load().verdict(parent, change, bound) == (pytest.approx(rel), word)
+
+
+@pytest.mark.parametrize("flags", [["--workload", "verify", "star"], ["--workload", "verify", "--workload", "star"]])
+def test_several_workloads_get_a_table_each_and_one_verdict(tmp_path, capsys, flags):
+    parent = fake_tree(tmp_path, "parent", 10.0)
+    change = fake_tree(tmp_path, "change", 5.0, per_workload={"star": {"op_p50_ms": 13.0}})
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    code = load().main([str(parent), str(change), *flags, "--pairs", "2", "--runner", "run.py"])
+    out = capsys.readouterr().out
+    assert code == 0
+    calls = (tmp_path / "calls.log").read_text().split("\n")[:-1]
+    assert [c.split()[1] for c in calls] == ["verify"] * 4 + ["star"] * 4
+    assert [c.split()[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    verify, star, overall = out.rstrip("\n").split("\n\n")
+    assert verify.splitlines()[0] == "verify: 2 alternating pairs, seeds 11..12; no metric worse than its bound"
+    assert star.splitlines()[0] == "star: 2 alternating pairs, seeds 11..12; worse than its bound: op_p50_ms"
+    for table in (verify, star):
+        assert [line.split()[0] for line in table.splitlines()[2:]] == ["setup_s", "wall_s", "op_p50_ms", "peak_rss_mb"]
+    assert overall == "overall, 2 workloads: worse than its bound: star op_p50_ms"
+
+
+def test_several_workloads_within_bounds_and_without(tmp_path, capsys):
+    parent, change = fake_tree(tmp_path, "parent", 10.0), fake_tree(tmp_path, "change", 5.0)
+    argv = [str(parent), str(change), "--workload", "verify", "products", "star", "--pairs", "1", "--runner", "run.py"]
+    assert load().main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall, 3 workloads: no bounds (the parent has no BENCHMARK.json)"
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    assert load().main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("alternating pairs") == 3
+    assert out.splitlines()[-1] == "overall, 3 workloads: no metric worse than its bound"
+
+
+def test_one_workload_prints_no_overall_line(tmp_path, capsys):
+    parent, change = fake_tree(tmp_path, "parent", 10.0), fake_tree(tmp_path, "change", 5.0)
+    assert load().main([str(parent), str(change), "--workload", "star", "--pairs", "1", "--runner", "run.py"]) == 0
+    out = capsys.readouterr().out
+    assert "overall" not in out and len(out.splitlines()) == 6

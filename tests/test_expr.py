@@ -14,6 +14,8 @@ from pgquant import (
     poly_to_expr,
     random_poly,
 )
+from pgquant.cli import main
+from pgquant.expr import MAX_POWER
 
 
 def ev(text, k=4, modes=1):
@@ -231,3 +233,47 @@ def test_round_trip_complex_coefficients():
     )
     back = parse(poly_to_expr(p), dfm, 1)
     assert back.distance(p) == 0.0
+
+
+# ---------------------------------------------------------------- powers
+
+
+def test_power_fold_stops_once_the_product_is_zero(monkeypatch):
+    dfm = deformation(8)
+    calls = []
+    product = ParaPoly.__mul__
+    monkeypatch.setattr(ParaPoly, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    assert parse(f"(th+bth)^{MAX_POWER}", dfm) == ParaPoly.zero(dfm, 1)
+    assert len(calls) <= 2 * (dfm.kprime - 1) + 1
+    calls.clear()
+    assert parse(f"(th1*bth2)^{MAX_POWER}", dfm, modes=2) == ParaPoly.zero(dfm, 2)
+    assert len(calls) <= 1 + dfm.kprime  # th1*bth2, then powers 1..kprime
+
+
+@pytest.mark.parametrize("k, d", [(6, 1), (8, 1), (6, 2)])
+def test_power_of_a_nilpotent_sum_equals_the_full_fold(k, d):
+    dfm = deformation(k)
+    text = "(th+bth)" if d == 1 else "(th1+bth1-th2*bth2)"
+    base = parse(text, dfm, d)
+    for n in range(2 * dfm.kprime + 1):
+        assert parse(f"{text}^{n}", dfm, d) == power(base, n), n
+
+
+def test_power_with_a_constant_term_folds_every_factor():
+    dfm = deformation(6)
+    got = parse(f"(1+th)^{MAX_POWER}", dfm)
+    assert got == power(parse("1+th", dfm), MAX_POWER)
+    assert got.terms[((1,), (0,))] == MAX_POWER
+
+
+def test_power_past_the_limit_is_refused():
+    with pytest.raises(ExprSyntaxError, match=f"exceeds the largest power {MAX_POWER}") as exc:
+        parse(f"th^{MAX_POWER + 1}", deformation(8))
+    assert exc.value.position == 3
+
+
+def test_cli_refuses_a_power_past_the_limit(capsys):
+    assert main(["quantize", "th^1000000000", "--k", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds the largest power {MAX_POWER}" in captured.err

@@ -1,16 +1,18 @@
 """The inverse quantization table against an 80-digit reference.
 
-``_inverse_table`` builds U from the reciprocal series g = 1/e(x) mod x^k'
+``upper_symbol`` applies U from the reciprocal series g = 1/e(x) mod x^k'
 of the truncated q-exponential e(x) = sum_(i<k') x^i / [i]!:
 
     U[s, t, n] = g_(n+s+1-k') sqrt([n]! [n+s-t]!) / [k'-1]!
 
-where n + s >= k'-1 and 0 <= n + s - t < k', and 0 elsewhere.  Here the
-q-factorials and g are recomputed with mpmath at 80 digits.  The float64
-table must match that reference to 1e-13 of its largest entry, must be
-exactly zero off its support, and, in exact arithmetic, the formula must
-invert every diagonal block of T (``mode_table``, from its own closed
-form).  The round-trip tests pin what a table with rounding noise off its
+where n + s >= k'-1 and 0 <= n + s - t < k', and 0 elsewhere.  It holds U
+as the Hankel matrix G[s, n] = g_(n+s+1-k') and the scaling
+sqrt([n]! [m]!) / [k'-1]! of matrix entry (n, m); ``production_inverse``
+rebuilds U from those two.  Here the q-factorials and g are recomputed with
+mpmath at 80 digits.  The rebuilt float64 table must match that reference
+to 1e-13 of its largest entry, must be exactly zero off its support, and,
+in exact arithmetic, the formula must invert every diagonal block of T
+(``mode_table``, from its own closed form).  The round-trip tests pin what a table with rounding noise off its
 support breaks: that noise multiplies matrix entries up to [k'-1]!.
 """
 
@@ -22,7 +24,7 @@ import pytest
 
 from pgquant import deformation, round_trip_residuals
 from pgquant.cli import main
-from pgquant.symbols import _inverse_table
+from pgquant.symbols import _upper_gather
 
 DIGITS = 80
 
@@ -56,12 +58,22 @@ def exact_tables(dfm) -> tuple[np.ndarray, np.ndarray]:
     return np.where(inside, fac_[n + s] / pair, 0), np.where(inside, g_[n + s] * pair / fac[kp - 1], 0)
 
 
+def production_inverse(dfm) -> np.ndarray:
+    """U[s, t, n] = G[s, n] * scale[n, n + s - t] from the cached map of
+    ``upper_symbol``, whose scaling is held along the diagonals, cell
+    (n, s - t + k' - 1), and is 0 where n + s - t leaves the matrix."""
+    kp = dfm.kprime
+    hankel, scale = _upper_gather(dfm)[2:4]
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    return hankel[s, n] * scale[n, s - t + kp - 1, 0]
+
+
 @pytest.mark.parametrize("k", [16, 32, 64, 96])
 def test_inverse_table_matches_80_digit_reference(k):
     dfm = deformation(k)
     with mpmath.workdps(DIGITS):
         reference = exact_tables(dfm)[1].astype(float)
-    got = _inverse_table(dfm)
+    got = production_inverse(dfm)
     assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -70,7 +82,7 @@ def test_inverse_table_is_exactly_zero_off_its_support(k):
     kp = deformation(k).kprime
     s, t, n = np.ogrid[:kp, :kp, :kp]
     on = (n + s >= kp - 1) & (n + s - t < kp)  # n + s - t >= 0 follows, as t < kp
-    got = _inverse_table(deformation(k))
+    got = production_inverse(deformation(k))
     assert not got[~on].any()
     assert np.all(got[on] != 0)
 

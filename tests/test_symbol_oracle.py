@@ -5,8 +5,8 @@ Matrix entries on the diagonal col - row = p are reached only by the
 monomials theta^(j+a) bartheta^(j+b) with a - b = p, so the coefficient map
 restricted to one diagonal is a square triangular system; it is solved from
 its outermost row inward, one row at a time, with entries and pivots read
-from ``mode_table``.  The contraction with the cached inverse table in
-``upper_symbol`` must reproduce it.
+from ``mode_table``.  The Hankel map of ``upper_symbol``, the closed-form
+inverse of the table, must reproduce it.
 
 Coefficients are compared in table units: a coefficient difference times
 the largest table entry it multiplies, which is its size in the matrix.
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from pgquant import FockOperator, deformation, mode_table, quantize, random_poly, upper_symbol
-from pgquant.symbols import _inverse_table
 
 GATE = 1e-12
 
@@ -78,22 +77,13 @@ def test_upper_symbol_round_trip_at_large_k(k):
         assert quantize(upper_symbol(op)).residual(op) <= 1e-9
 
 
-def test_inverse_table_is_cached_and_read_only():
-    dfm = deformation(10)
-    inverse = _inverse_table(dfm)
-    assert _inverse_table(dfm) is inverse
-    assert inverse.shape == mode_table(dfm).shape
-    with pytest.raises(ValueError):
-        inverse[0, 0, 0] = 2.0
-
-
 def test_upper_symbol_gather_is_cached_and_read_only():
     from pgquant.symbols import _upper_gather
 
     dfm = deformation(10)
-    index, inverse = _upper_gather(dfm)
-    assert _upper_gather(dfm)[0] is index
-    assert inverse is _inverse_table(dfm)
-    assert index.shape == inverse.shape
-    with pytest.raises(ValueError):
-        index[0, 0, 0] = 1
+    tables = [table for table in _upper_gather(dfm) if table is not None]
+    assert _upper_gather(dfm)[0] is tables[0]
+    assert all(table.size <= dfm.kprime * (2 * dfm.kprime - 1) for table in tables)  # no k'^3 table
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 1
