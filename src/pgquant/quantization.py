@@ -60,6 +60,7 @@ from .qnum import Deformation, factorials, qnumber
 
 __all__ = [
     "Ordering",
+    "basis_tuples",
     "FockOperator",
     "RelationCheck",
     "VerificationReport",
@@ -116,10 +117,6 @@ class FockOperator:
     @classmethod
     def identity(cls, dfm: Deformation, d: int = 1) -> "FockOperator":
         return cls(dfm, d, np.eye(dfm.kprime**d, dtype=complex))
-
-    @classmethod
-    def zero(cls, dfm: Deformation, d: int = 1) -> "FockOperator":
-        return cls(dfm, d, np.zeros((dfm.kprime**d, dfm.kprime**d), dtype=complex))
 
     def _check(self, other: "FockOperator") -> None:
         if self.dfm != other.dfm or self.d != other.d:

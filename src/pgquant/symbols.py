@@ -5,22 +5,24 @@ symbol inverts antinormal quantization in closed form, as the same Hankel
 GEMM with the series reciprocal of the truncated q-exponential.  Since
 quantization is a linear bijection onto the full matrix algebra,
 transporting the operator product back to symbols defines an associative
-star product on single-mode polynomials.
+star product.  The kernel factorizes over the modes, so every map here takes
+any mode count d.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import ParaPoly, _draw_trials, q_powers
+from .algebra import ParaPoly, _draw_trials, phase_matrix, q_powers
 from .qnum import Deformation, deformation, factorials
 from .quantization import (
     FockOperator,
     Ordering,
     VerificationReport,
     _hankel_map,
+    _placement,
     _quantize_stack,
     _trial_chunks,
     gather_contract,
@@ -35,27 +37,24 @@ __all__ = [
 ]
 
 
-def _require_single_mode(op_d: int, what: str) -> None:
-    if op_d != 1:
-        raise ValueError(f"{what} supports a single mode only (got d={op_d})")
-
-
 def lower_symbol(op: FockOperator) -> ParaPoly:
     """Coherent-state expectation of ``op`` as a polynomial (unnormalized).
 
     The entry in row nb and column n contributes
-    conj(q_k)^(n*nb) * A[nb, n] / sqrt([nb]! [n]!) * theta^n bartheta^nb,
-    the phase coming from reordering bartheta^nb theta^n into canonical
-    form.  No division by the coherent-state overlap is attempted: the
-    overlap has no inverse in a nilpotent algebra.
+    q_k^e * A[nb, n] / sqrt([nb]! [n]!) * theta^n bartheta^nb, with the
+    factorials multiplied over the modes and q_k^e the phase of the
+    product bartheta^nb theta^n: e = nb^T W n for the block W[d:, :d] of
+    ``phase_matrix(d)``, which is -nb*n on one mode.  No division by the
+    coherent-state overlap is attempted: the overlap has no inverse in a
+    nilpotent algebra.
     """
-    _require_single_mode(op.d, "lower_symbol")
-    dfm = op.dfm
+    dfm, d = op.dfm, op.d
     kp = dfm.kprime
-    fac = factorials(dfm)
-    nb, n = np.ogrid[:kp, :kp]
-    coeffs = q_powers(dfm)[(-n * nb) % kp] * op.mat / np.sqrt(fac[nb] * fac[n])
-    return ParaPoly(dfm, 1, coeffs.T)
+    fac = reduce(np.multiply.outer, [factorials(dfm)] * d).ravel()
+    states = _placement(dfm, d)[0]
+    e = states @ phase_matrix(d)[d:, :d] @ states.T
+    coeffs = q_powers(dfm)[e % kp] * op.mat / np.sqrt(np.multiply.outer(fac, fac))
+    return ParaPoly(dfm, d, coeffs.T.reshape((kp,) * 2 * d))
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +76,13 @@ def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
 def upper_symbol(op: FockOperator) -> ParaPoly:
     """Polynomial whose antinormal quantization reproduces ``op`` exactly.
 
-    One ``gather_contract``: the coefficient of theta^s bartheta^t is
+    One ``gather_contract`` of the matrix as a (k',) * 2d tensor, mode by
+    mode: on each mode the coefficient of theta^s bartheta^t is
     ``sum_n U[s, t, n] * A[n, n + s - t]`` with U = G times the scaling of
     ``_upper_gather``, the closed-form inverse of ``mode_table``.
     """
-    _require_single_mode(op.d, "upper_symbol")
-    return ParaPoly(op.dfm, 1, gather_contract(op.mat[None], *_upper_gather(op.dfm))[0])
+    stack = op.mat.reshape((1,) + (op.dfm.kprime,) * 2 * op.d)
+    return ParaPoly(op.dfm, op.d, gather_contract(stack, *_upper_gather(op.dfm))[0])
 
 
 def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
@@ -92,9 +92,8 @@ def moyal_star(f: ParaPoly, g: ParaPoly) -> ParaPoly:
     nilpotency order, so the generators square to zero exactly when
     that order is two.  Both operands are quantized as one stack."""
     f._check_compatible(g)
-    _require_single_mode(f.d, "moyal_star")
     a, b = _quantize_stack(f.dfm, np.stack([f.coeffs, g.coeffs]), Ordering.ANTINORMAL)
-    return upper_symbol(FockOperator(f.dfm, 1, a @ b))
+    return upper_symbol(FockOperator(f.dfm, f.d, a @ b))
 
 
 def round_trip_residuals(dfm: Deformation, trials: int = 100, seed: int = 0) -> tuple[float, float]:

@@ -52,14 +52,13 @@ def coherent_bra(dfm: Deformation, modes: int = 1) -> CoherentKet:
 
 
 def lower_symbol_by_pairing(op: FockOperator) -> ParaPoly:
-    """Coherent expectation of a single-mode ``op``, pair by pair."""
-    assert op.d == 1
+    """Coherent expectation of ``op`` on any number of modes, pair by pair."""
     dfm = op.dfm
-    ket = coherent_ket(dfm, 1)
-    bra = coherent_bra(dfm, 1)
-    out = ParaPoly.zero(dfm, 1)
-    for nb in range(dfm.kprime):
-        for n in range(dfm.kprime):
+    ket = coherent_ket(dfm, op.d)
+    bra = coherent_bra(dfm, op.d)
+    out = ParaPoly.zero(dfm, op.d)
+    for nb in range(op.dim):
+        for n in range(op.dim):
             a = op.mat[nb, n]
             if a == 0:
                 continue

@@ -16,7 +16,9 @@ from pgquant import (
     ParaPoly,
     deformation,
     ladder,
+    lower_symbol,
     operator_to_dict,
+    parse,
     poly_from_dict,
     quantize,
 )
@@ -135,6 +137,20 @@ def test_lower_symbol_identity_matrix(capsys, tmp_path):
     p = poly_from_dict(json.loads(out))
     expect = ParaPoly(dfm, 1, {((0,), (0,)): 1.0, ((1,), (1,)): -1.0})
     assert p.distance(expect) < 1e-12
+
+
+def test_symbol_commands_read_a_two_mode_matrix(capsys, tmp_path):
+    f = parse("th1*bth2 + 2", deformation(6), 2)
+    code, out, _ = run(capsys, "quantize", "th1*bth2 + 2", "--k", "6", "--modes", "2", "--format", "json")
+    assert code == 0
+    path = tmp_path / "m.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "dequantize", str(path), "--format", "json")
+    assert code == 0
+    assert poly_from_dict(json.loads(out)).distance(f) <= 1e-12
+    code, out, _ = run(capsys, "lower-symbol", str(path), "--format", "json")
+    assert code == 0
+    assert poly_from_dict(json.loads(out)).distance(lower_symbol(quantize(f))) <= 1e-12
 
 
 def test_matrix_named_operators(capsys):

@@ -26,10 +26,10 @@ from pgquant import (
 from coherent_pairing import coherent_overlap, lower_symbol_by_pairing
 
 
-def random_operator(dfm, rng):
-    kp = dfm.kprime
-    mat = rng.uniform(-1, 1, (kp, kp)) + 1j * rng.uniform(-1, 1, (kp, kp))
-    return FockOperator(dfm, 1, mat)
+def random_operator(dfm, rng, modes=1):
+    dim = dfm.kprime**modes
+    mat = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+    return FockOperator(dfm, modes, mat)
 
 
 # ---------------------------------------------------------------- lower symbol
@@ -241,19 +241,54 @@ def test_star_transports_operator_product(dfm):
     assert quantize(moyal_star(f, g)).residual(quantize(f) @ quantize(g)) < 1e-9
 
 
-# ---------------------------------------------------------------- guards
+# ---------------------------------------------------------------- several modes
+
+SEVERAL_MODES = pytest.mark.parametrize("k, d", [(4, 2), (6, 2), (8, 2), (16, 2), (4, 3), (6, 3), (4, 4)])
 
 
-def test_symbol_maps_reject_multimode():
-    dfm = deformation(4)
-    op2 = FockOperator.identity(dfm, 2)
-    with pytest.raises(ValueError):
-        upper_symbol(op2)
-    with pytest.raises(ValueError):
-        lower_symbol(op2)
-    p2 = ParaPoly.unit(dfm, 2)
-    with pytest.raises(ValueError):
-        moyal_star(p2, p2)
+@SEVERAL_MODES
+def test_upper_symbol_inverts_quantize_on_several_modes(k, d):
+    dfm = deformation(k)
+    rng = np.random.default_rng(101 + k + d)
+    for _ in range(3):
+        f = random_poly(dfm, rng, d)
+        back = upper_symbol(quantize(f))
+        assert back.d == d
+        assert back.distance(f) <= 1e-13 * np.abs(f.coeffs).max()
+
+
+@SEVERAL_MODES
+def test_quantize_inverts_upper_symbol_on_several_modes(k, d):
+    dfm = deformation(k)
+    rng = np.random.default_rng(103 + k + d)
+    for _ in range(3):
+        op = random_operator(dfm, rng, d)  # entries of modulus at most sqrt(2)
+        assert quantize(upper_symbol(op)).residual(op) <= 1e-12
+
+
+@SEVERAL_MODES
+def test_moyal_star_transports_the_product_on_several_modes(k, d):
+    # dense operands are quantized by the Hankel GEMM, single generators
+    # (at most dim terms between them) by term placement
+    dfm = deformation(k)
+    rng = np.random.default_rng(107 + k + d)
+    th1 = ParaPoly.generator(dfm, d, 1)
+    bth2 = ParaPoly.generator(dfm, d, 2, barred=True)
+    pairs = [(random_poly(dfm, rng, d), random_poly(dfm, rng, d)), (th1, bth2), (bth2, th1), (th1 + ParaPoly.constant(dfm, d, 2.0), th1)]
+    for f, g in pairs:
+        star = moyal_star(f, g)
+        assert star.d == d
+        product = quantize(f) @ quantize(g)
+        assert quantize(star).residual(product) <= 1e-12 * product.max_abs()
+
+
+@SEVERAL_MODES
+def test_lower_symbol_matches_pairing_on_several_modes(k, d):
+    dfm = deformation(k)
+    op = random_operator(dfm, np.random.default_rng(109 + k + d), d)
+    direct = lower_symbol(op)
+    assert direct.d == d
+    assert direct.distance(lower_symbol_by_pairing(op)) <= 1e-13
 
 
 # ---------------------------------------------------------------- quaternions
