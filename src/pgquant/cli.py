@@ -11,7 +11,9 @@ Subcommands::
     demo          worked examples (quaternion arithmetic at k = 4)
 
 Exit status: 0 on success, 1 when a verification or demo reports a failed
-relation, 2 on usage, parse or input-validation errors.
+relation, 2 on usage, parse or input-validation errors, 141 (128 + SIGPIPE,
+as a shell reports it) with nothing on stderr when the reader of standard
+output closes it early, as ``pgquant ... | head -1`` does.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -290,7 +293,15 @@ def main(argv=None) -> int:
     try:
         if "modes" in vars(args):  # before any basis or matrix is built
             check_size(deformation(args.k), args.modes)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The end of output, not an input error.  Following the "Note on
+        # SIGPIPE" of Python's signal docs, stdout now writes to devnull so
+        # the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -406,3 +406,16 @@ def test_parser_is_built_once_per_process(capsys):
         run(capsys, *argv)
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(PARSER_REUSE_ARGV) - 1)
+
+
+def test_closed_pipe_exits_141_quietly():
+    """A reader that stops after one line, as ``head -1`` does: the rest of
+    a 256 x 256 matrix (megabytes, far more than a pipe buffer) meets a
+    closed pipe, which ends the output and is no input error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "pgquant", "quantize", "th1", "--k", "32", "--modes", "2",
+                             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
