@@ -15,8 +15,11 @@ The list holds, on one mode: ``dequantize`` and ``lower-symbol``, pretty
 and json, of every named ``matrix`` and of a seeded random matrix at
 every even k from 4 to 64; ``star`` on eight expression pairs at every
 even k from 4 to 32; ``demo quaternion``; ``verify --format json`` at
-every even k from 4 to 128; and ``quantize`` in all three orderings at
-k = 6, 8 and 16, on one and on two modes.  Check out or ``git archive``
+every even k from 4 to 128, with ``--modes 2`` from 4 to 32 and with
+``--modes 3`` from 4 to 16; and ``quantize`` in all three orderings at
+k = 6, 8 and 16, on one and on two modes, and at k = 4 and 6 on three
+modes, where the canonical product reads its pair table at k = 4 and
+enumerates pairs block by block at k = 6.  Check out or ``git archive``
 the two commits to compare into directories first.
 """
 
@@ -46,6 +49,7 @@ STAR_PAIRS = (
 QUANTIZE_EXPRESSIONS = {
     1: ("th*bth + 2", "(1 + th + bth)^5", "bth*th^2 - i*th"),
     2: ("th1*bth2 + 2", "(1 + th1 + bth2)^3", "bth1*th2 - i*th1*bth1"),
+    3: ("th1*bth3 + 2", "(1 + th2 + bth3)^3", "bth1*th3 - i*th2*bth2*th1"),
 }
 
 # run in each tree: read [argv, stdin] pairs, answer [stdout, exit status] pairs
@@ -99,13 +103,22 @@ def cases() -> list[tuple[list[str], str | int | None]]:
         out.append((["demo", "quaternion", "--format", fmt], None))
     for k in range(4, 129, 2):
         out.append((["verify", "--k", str(k), "--format", "json"], None))
+    for modes, top in ((2, 32), (3, 16)):
+        for k in range(4, top + 1, 2):
+            out.append((["verify", "--k", str(k), "--modes", str(modes), "--format", "json"], None))
+
+    def quantize(k, modes):
+        for text in QUANTIZE_EXPRESSIONS[modes]:
+            for ordering in ("antinormal", "left", "right"):
+                for fmt in ("pretty", "json"):
+                    out.append((["quantize", text, "--k", str(k), "--modes", str(modes),
+                                 "--ordering", ordering, "--format", fmt], None))
+
     for k in (6, 8, 16):
-        for modes, expressions in QUANTIZE_EXPRESSIONS.items():
-            for text in expressions:
-                for ordering in ("antinormal", "left", "right"):
-                    for fmt in ("pretty", "json"):
-                        out.append((["quantize", text, "--k", str(k), "--modes", str(modes),
-                                     "--ordering", ordering, "--format", fmt], None))
+        for modes in (1, 2):
+            quantize(k, modes)
+    for k in (4, 6):
+        quantize(k, 3)
     return out
 
 

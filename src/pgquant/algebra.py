@@ -327,55 +327,50 @@ def multiply_prescription(p1: ParaPoly, p2: ParaPoly) -> ParaPoly:
 
 
 def _pair_product(p1: ParaPoly, p2: ParaPoly, twisted: bool) -> ParaPoly:
-    """Sum over pairs of terms whose exponents add up to less than
-    ``kprime`` on every axis, times q_k**(a^T W b) when ``twisted``; each
-    pair lands at the sum of the two row-major flat indices.  Up to
-    ``_PAIRS_PER_BLOCK`` admissible pairs, every pair of ``_pair_table`` is
-    summed, zeros included: a zero pair adds an exact zero to a sum that
-    never reads -0, so the bytes equal those of the nonzero pairs alone.
-    Past that, the nonzero pairs are enumerated block by block."""
+    """Sum over the admissible pairs of terms, times their phase when
+    ``twisted``: every pair of ``_pair_table`` while it exists, zeros
+    included (a zero pair adds an exact zero to a sum that never reads -0,
+    so the bytes equal those of the nonzero pairs alone), else
+    ``_admissible_pairs`` of the nonzero terms."""
     p1._check_compatible(p2)
-    dfm, kp, shape = p1.dfm, p1.dfm.kprime, p1.coeffs.shape
-    c1, c2 = p1.coeffs.ravel(), p2.coeffs.ravel()
+    dfm, d, c1, c2 = p1.dfm, p1.d, p1.coeffs.ravel(), p2.coeffs.ravel()
     out = np.zeros(c1.size, dtype=complex)
-    table = _pair_table(dfm, p1.d)
-    if table is not None:
-        i, j, target, phase = table
+    table = _pair_table(dfm, d)
+    blocks = [table] if table is not None else _admissible_pairs(dfm, d, c1.nonzero()[0], c2.nonzero()[0])
+    for i, j, target, phase in blocks:
         vals = c1[i] * c2[j]
-        if twisted:
-            vals *= phase
-        np.add.at(out, target, vals)
-        return ParaPoly(dfm, p1.d, out.reshape(shape))
-    fx, fy = c1.nonzero()[0], c2.nonzero()[0]
-    x, y = np.array(np.unravel_index(fx, shape)), np.array(np.unravel_index(fy, shape))  # one column per term
-    w = phase_matrix(p1.d)
+        np.add.at(out, target, vals * phase if twisted else vals)
+    return ParaPoly(dfm, d, out.reshape(p1.coeffs.shape))
+
+
+def _admissible_pairs(dfm: Deformation, d: int, fx: np.ndarray, fy: np.ndarray):
+    """Blocks ``(i, j, i + j, q_k**(a^T W b))`` of the pairs of flat indices
+    i in ``fx`` and j in ``fy`` of the (kprime,)^2d tensor whose exponent
+    rows a and b add up to less than ``kprime`` on every axis, in row-major
+    (i, j) order.  A block holds at most ``_PAIRS_PER_BLOCK // len(fy)``
+    left indices, so memory stays O(block)."""
+    kp, shape = dfm.kprime, (dfm.kprime,) * (2 * d)
+    x, y = np.array(np.unravel_index(fx, shape)), np.array(np.unravel_index(fy, shape))  # one column per index
     small = np.min_scalar_type(kp - 1)  # the pair test reads 2d bytes per pair, not 16d
-    room, right, xw = (kp - 1 - x).astype(small), y.astype(small), w.T @ x
-    a, b = c1[fx], c2[fy]
+    room, right, xw = (kp - 1 - x).astype(small), y.astype(small), phase_matrix(d).T @ x
     block = max(1, _PAIRS_PER_BLOCK // max(len(fy), 1))
     for lo in range(0, len(fx), block):
         i, j = np.nonzero((right[:, None, :] <= room[:, lo:lo + block, None]).all(0))
         i += lo
-        vals = a[i] * b[j]
-        if twisted:  # not in place: numpy rounds a lone in-place complex product differently
-            vals = vals * q_powers(dfm)[(xw[:, i] * y[:, j]).sum(0) % kp]
-        np.add.at(out, fx[i] + fy[j], vals)
-    return ParaPoly(dfm, p1.d, out.reshape(shape))
+        yield fx[i], fy[j], fx[i] + fy[j], q_powers(dfm)[(xw[:, i] * y[:, j]).sum(0) % kp]
 
 
 @lru_cache(maxsize=None)
 def _pair_table(dfm: Deformation, d: int) -> tuple[np.ndarray, ...] | None:
-    """Every admissible pair of flat indices (i, j) of the (kprime,)^2d
-    tensor, in row-major (i, j) order, with its target i + j and its phase
-    q_k**(a^T W b): arrays ``(i, j, target, phase)``.  None when there are
-    more than ``_PAIRS_PER_BLOCK`` pairs, (k'(k'+1)/2)^2d, since the table
-    grows as the square of the tensor.  Cached, read-only."""
+    """``_admissible_pairs`` over the whole (kprime,)^2d tensor, in one
+    block: arrays ``(i, j, target, phase)``.  None when there are more than
+    ``_PAIRS_PER_BLOCK`` pairs, (k'(k'+1)/2)^2d, since the table grows as
+    the square of the tensor.  Cached, read-only."""
     kp = dfm.kprime
     if (kp * (kp + 1) // 2) ** (2 * d) > _PAIRS_PER_BLOCK:
         return None
-    rows = np.indices((kp,) * (2 * d)).reshape(2 * d, -1).T  # exponent row of each flat index
-    i, j = np.nonzero((rows[:, None, :] + rows[None, :, :] < kp).all(-1))
-    table = (i, j, i + j, q_powers(dfm)[product_phase(rows[i], rows[j]) % kp])
+    every = np.arange(kp ** (2 * d))
+    table = tuple(np.concatenate(a) for a in zip(*_admissible_pairs(dfm, d, every, every)))
     for a in table:
         a.setflags(write=False)
     return table

@@ -55,7 +55,17 @@ from .symbols import (
 
 __all__ = ["main", "run_main"]
 
-MATRIX_NAMES = ("theta", "bartheta", "number", "Q", "Qbar", "B", "Bdag")
+# each named operator of ``matrix``, built from (dfm, modes, mode)
+_MATRICES = {
+    "theta": ladder,
+    "bartheta": ladder_dag,
+    "number": number_operator,
+    "Q": lambda dfm, modes, mode: q_power_N(dfm, modes, sign=1, mode=mode),
+    "Qbar": lambda dfm, modes, mode: q_power_N(dfm, modes, sign=-1, mode=mode),
+    "B": lambda dfm, modes, mode: rescale_B(dfm)[0],
+    "Bdag": lambda dfm, modes, mode: rescale_B(dfm)[1],
+}
+MATRIX_NAMES = tuple(_MATRICES)
 
 
 def _fmt_entry(z: complex) -> str:
@@ -162,24 +172,9 @@ def _cmd_star(args) -> int:
 
 def _cmd_matrix(args) -> int:
     dfm = deformation(args.k)
-    name = args.name
-    if name in ("B", "Bdag") and args.modes != 1:
-        raise ValueError(f"{name} is only defined for a single mode")
-    if name == "theta":
-        op = ladder(dfm, args.modes, args.mode)
-    elif name == "bartheta":
-        op = ladder_dag(dfm, args.modes, args.mode)
-    elif name == "number":
-        op = number_operator(dfm, args.modes, args.mode)
-    elif name == "Q":
-        op = q_power_N(dfm, args.modes, sign=1, mode=args.mode)
-    elif name == "Qbar":
-        op = q_power_N(dfm, args.modes, sign=-1, mode=args.mode)
-    elif name == "B":
-        op = rescale_B(dfm)[0]
-    else:
-        op = rescale_B(dfm)[1]
-    _emit_operator(op, args.format)
+    if args.name in ("B", "Bdag") and args.modes != 1:
+        raise ValueError(f"{args.name} is only defined for a single mode")
+    _emit_operator(_MATRICES[args.name](dfm, args.modes, args.mode), args.format)
     return 0
 
 

@@ -233,17 +233,11 @@ def poly_to_expr(p: ParaPoly) -> str:
     terms = p.terms
     if not terms:
         return "0"
+    suffixes = [""] if p.d == 1 else [str(i + 1) for i in range(p.d)]
+    names = [f"th{s}" for s in suffixes] + [f"bth{s}" for s in suffixes]
     parts = []
     for (theta, bar), c in terms.items():
-        gens = []
-        for i, power in enumerate(theta):
-            if power:
-                name = "th" if p.d == 1 else f"th{i + 1}"
-                gens.append(name + (f"^{power}" if power > 1 else ""))
-        for i, power in enumerate(bar):
-            if power:
-                name = "bth" if p.d == 1 else f"bth{i + 1}"
-                gens.append(name + (f"^{power}" if power > 1 else ""))
+        gens = [name + (f"^{power}" if power > 1 else "") for name, power in zip(names, theta + bar) if power]
         if not gens:
             parts.append(_fmt_complex(c))
         elif c == 1:

@@ -49,7 +49,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .algebra import (
     _PAIRS_PER_BLOCK,
     ParaPoly,
-    _conjugation_phase,
     _draw_trials,
     _nonzero,
     product_phase,
@@ -704,13 +703,13 @@ def hermiticity_residual(dfm: Deformation, trials: int = 100, seed: int = 0) -> 
     """Worst deviation of quantize(conjugate(f)) from dagger(quantize(f))
     over random single-mode symbols, drawn one chunk per call, in per-trial
     order, and quantized a chunk at a time, each chunk of f and
-    conjugate(f) as one stack."""
+    conjugate(f) as one stack.  On one mode conjugation carries no phase:
+    it conjugates the coefficients and swaps the two exponents."""
     rng = np.random.default_rng(seed)
-    phase = _conjugation_phase(dfm, 1)
     worst = []
     for size in _trial_chunks(dfm, trials):
         f = _draw_trials(dfm, rng, size)
-        stack = np.concatenate([f, f.transpose(0, 2, 1).conj() * phase])  # f, then conjugate(f)
+        stack = np.concatenate([f, f.transpose(0, 2, 1).conj()])  # f, then conjugate(f)
         mats = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)
         worst.append(np.abs(mats[size:] - mats[:size].conj().transpose(0, 2, 1)).max())
     return float(np.max(worst))  # a NaN chunk stays NaN

@@ -349,6 +349,24 @@ def test_quantize_at_largest_admitted_size_stays_near_output_size(tmp_path):
     assert float(proc.stdout) <= 1e-13
 
 
+def test_demo_quaternion_memory_does_not_grow_with_trials(tmp_path):
+    # The demo draws and checks its trials a chunk at a time, so 200000
+    # trials (about 190 MB if stacked at once) fit in 64 MiB of address
+    # space beyond what the interpreter has mapped after import.
+    child = textwrap.dedent("""
+        import re, resource, sys
+        from pgquant.cli import main
+        mapped = int(re.search(r"VmSize:\\s*(\\d+) kB", open("/proc/self/status").read()).group(1)) << 10
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20),) * 2)
+        sys.exit(main(["demo", "quaternion", "--trials", "200000"]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_out_of_memory_at_admitted_size_exits_2(tmp_path):
     # The guard admits k=64 on two modes with 16 MiB of memory, as above, but
     # 40 MiB of address space is too little to parse a symbol there and

@@ -67,6 +67,8 @@ def test_the_fixed_list_covers_each_family():
     argvs = [argv for argv, _ in commands]
     verify_ks = {int(a[2]) for a in argvs if a[0] == "verify"}
     assert verify_ks == set(range(4, 129, 2))
+    verify_modes = {(int(a[2]), int(a[4])) for a in argvs if a[0] == "verify" and "--modes" in a}
+    assert verify_modes == {(k, 2) for k in range(4, 33, 2)} | {(k, 3) for k in range(4, 17, 2)}
     for reader in ("dequantize", "lower-symbol"):
         fed = [stdin for argv, stdin in commands if argv[0] == reader]
         assert sum(isinstance(s, int) for s in fed) == 7 * 31 * 2  # named matrices, k = 4..64, two formats
@@ -74,5 +76,6 @@ def test_the_fixed_list_covers_each_family():
     assert {int(a[4]) for a in argvs if a[0] == "star"} == set(range(4, 33, 2))
     assert len({(a[1], a[2]) for a in argvs if a[0] == "star"}) >= 8
     orderings = {(a[3], a[5], a[7]) for a in argvs if a[0] == "quantize"}
-    assert orderings == {(k, m, o) for k in ("6", "8", "16") for m in ("1", "2") for o in ("antinormal", "left", "right")}
+    assert orderings == ({(k, m, o) for k in ("6", "8", "16") for m in ("1", "2") for o in ("antinormal", "left", "right")}
+                         | {(k, "3", o) for k in ("4", "6") for o in ("antinormal", "left", "right")})
     assert sum(a[0] == "demo" for a in argvs) == 2

@@ -1,8 +1,9 @@
-"""The canonical product's two paths: the cached table of admissible index
-pairs (``_pair_table``) and the block-by-block enumeration of nonzero
-pairs that runs past ``_PAIRS_PER_BLOCK``.  Both must give the same bytes,
-so ``_pair_table`` is patched to None to reach the block path at sizes the
-table covers."""
+"""The canonical product's two sources of pairs: the cached table of
+admissible index pairs (``_pair_table``, one run of ``_admissible_pairs``
+over the whole tensor) and ``_admissible_pairs`` run block by block over
+the nonzero terms past ``_PAIRS_PER_BLOCK``.  Both must give the same
+bytes, so ``_pair_table`` is patched to None to reach the block path at
+sizes the table covers."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ def test_table_and_block_paths_give_the_same_bytes(k, d, monkeypatch):
     pairs = [(f, g) for f in ops for g in ops]
     table = [product(f, g).coeffs.tobytes() for f, g in pairs for product in PRODUCTS]
     _block_path(monkeypatch)
+    assert [product(f, g).coeffs.tobytes() for f, g in pairs for product in PRODUCTS] == table
+
+
+@pytest.mark.parametrize("k, d", TABLE_CASES)
+def test_block_boundaries_do_not_move_bytes(k, d, monkeypatch):
+    """One left term a block, the smallest blocks there are, gives the
+    bytes of the table's single block."""
+    dfm = deformation(k)
+    ops = [ParaPoly(dfm, d, c) for c in _operands(dfm, d, np.random.default_rng([k, d, 1]))]
+    pairs = [(f, g) for f in ops for g in ops]
+    table = [product(f, g).coeffs.tobytes() for f, g in pairs for product in PRODUCTS]
+    _block_path(monkeypatch)
+    monkeypatch.setattr(algebra, "_PAIRS_PER_BLOCK", 1)
     assert [product(f, g).coeffs.tobytes() for f, g in pairs for product in PRODUCTS] == table
 
 

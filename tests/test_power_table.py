@@ -8,8 +8,8 @@ multiplied in the order of ``np.linalg.matrix_power``.
 as one batched ``@``.  The oracles below are those checks written one
 ``FockOperator`` relation at a time, as they were before; the residuals must
 be equal, not merely close, so that ``verify`` prints the same report.  The
-quaternion demo runs its random trials as stacks, and its per-trial loop is
-kept here as well.
+quaternion demo runs its random trials as stacks, a chunk at a time, and its
+per-trial loop is kept here as well.
 """
 
 import cmath
@@ -197,7 +197,7 @@ def quaternion_by_trials(trials, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("trials", [1, 100])
+@pytest.mark.parametrize("trials", [1, 100, 4097])  # 4097: three chunks at k = 4
 def test_stacked_quaternion_trials_equal_one_trial_at_a_time(trials, seed):
     got = [c.residual for c in quaternion_demo(trials=trials, seed=seed).checks[-3:]]
     assert got == quaternion_by_trials(trials, seed)
