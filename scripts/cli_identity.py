@@ -15,8 +15,9 @@ The list holds, on one mode: ``dequantize`` and ``lower-symbol``, pretty
 and json, of every named ``matrix`` and of a seeded random matrix at
 every even k from 4 to 64; ``star`` on eight expression pairs at every
 even k from 4 to 32; ``demo quaternion``; ``verify --format json`` at
-every even k from 4 to 128, with ``--modes 2`` from 4 to 32 and with
-``--modes 3`` from 4 to 16; and ``quantize`` in all three orderings at
+every even k from 4 to 128, with ``--modes 2`` from 4 to 32 and at 48
+and 64, with ``--modes 3`` from 4 to 16 and with ``--modes 4`` from 4 to
+8; and ``quantize`` in all three orderings at
 k = 6, 8 and 16, on one and on two modes, and at k = 4 and 6 on three
 modes, where the canonical product reads its pair table at k = 4 and
 enumerates pairs block by block at k = 6.  Check out or ``git archive``
@@ -103,8 +104,8 @@ def cases() -> list[tuple[list[str], str | int | None]]:
         out.append((["demo", "quaternion", "--format", fmt], None))
     for k in range(4, 129, 2):
         out.append((["verify", "--k", str(k), "--format", "json"], None))
-    for modes, top in ((2, 32), (3, 16)):
-        for k in range(4, top + 1, 2):
+    for modes, ks in ((2, [*range(4, 33, 2), 48, 64]), (3, range(4, 17, 2)), (4, range(4, 9, 2))):
+        for k in ks:
             out.append((["verify", "--k", str(k), "--modes", str(modes), "--format", "json"], None))
 
     def quantize(k, modes):

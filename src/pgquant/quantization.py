@@ -51,6 +51,7 @@ from .algebra import (
     ParaPoly,
     _draw_trials,
     _nonzero,
+    check_size,
     product_phase,
     q_powers,
     weight,
@@ -363,9 +364,12 @@ def q_power_N(dfm: Deformation, modes: int = 1, sign: int = 1, mode: int = 1) ->
     """Diagonal matrix q**(sign * n_mode)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    # (sign * n) % k keeps the exponent non-negative, so n = 0 gives 1 + 0j, not 1 - 0j
-    phases = [cmath.exp(2j * math.pi * ((sign * n) % dfm.k) / dfm.k) for n in range(dfm.kprime)]
-    return _mode_operator(dfm, modes, mode, phases)
+    return _mode_operator(dfm, modes, mode, _q_phases(dfm, sign))
+
+
+def _q_phases(dfm: Deformation, sign: int) -> list[complex]:
+    """q**(sign * n), n = 0..kprime-1; (sign * n) % k keeps the exponent >= 0, so n = 0 gives 1 + 0j, not 1 - 0j."""
+    return [cmath.exp(2j * math.pi * ((sign * n) % dfm.k) / dfm.k) for n in range(dfm.kprime)]
 
 
 def rescale_B(dfm: Deformation) -> tuple[FockOperator, FockOperator]:
@@ -380,35 +384,36 @@ def rescale_B(dfm: Deformation) -> tuple[FockOperator, FockOperator]:
     return FockOperator(dfm, 1, half @ low), FockOperator(dfm, 1, low.T @ half)
 
 
+def _diag_product(a: tuple, b: tuple) -> tuple:
+    """The product AB of two n x n matrices that each hold one nonzero
+    diagonal, of offset o, as (o, v) with v[r] = M[r, r + o] zero-padded to
+    2n entries, so an index past the matrix, or below zero, reads 0: (AB)[r]
+    = v_A[r] v_B[r + o_A], the one nonzero term of each entry of the dense
+    product, so the bits are the dense product's."""
+    (o, v), w, n = a, b[1], len(a[1]) // 2
+    return o + b[0], np.concatenate([v[:n] * w[np.arange(n) + o], np.zeros(n)])
+
+
 @lru_cache(maxsize=None)
 def _ladder_powers(dfm: Deformation) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of the single-mode ladder powers, cached per deformation
     (read-only): ``lows[p, r] = (low^p)[r, r+p]`` and ``highs[p, r] =
-    (high^p)[r, r-p]`` for p = 0..kprime, zero-padded to 2 kprime entries, so
-    an index past the matrix, or below zero, reads 0.
-
-    A matrix with one nonzero diagonal of offset o is held as (o, v), with
-    v[r] = M[r, r + o], and a product is (AB)[r] = v_A[r] v_B[r + o_A]: one
-    term per entry, as in the dense product.  The products run in the order
-    of ``np.linalg.matrix_power``, so every entry has the dense power's bits.
+    (high^p)[r, r-p]`` for p = 0..kprime, zero-padded to 2 kprime entries,
+    in the (offset, vector) form of ``_diag_product``.  The products run in
+    the order of ``np.linalg.matrix_power``, so every entry has the dense
+    power's bits.
     """
     kp = dfm.kprime
-    r = np.arange(kp)
-
-    def mul(a, b):
-        out = np.zeros(2 * kp, dtype=complex)
-        out[:kp] = a[1][:kp] * b[1][r + a[0]]
-        return a[0] + b[0], out
 
     def power(a, n):  # numpy's order: a@a, (a@a)@a, then squares, least significant bit first
         if n < 4:
-            return reduce(mul, [a] * n) if n else (0, (np.arange(2 * kp) < kp).astype(complex))
+            return reduce(_diag_product, [a] * n) if n else (0, (np.arange(2 * kp) < kp).astype(complex))
         z = result = None
         while n:
-            z = a if z is None else mul(z, z)
+            z = a if z is None else _diag_product(z, z)
             n, bit = divmod(n, 2)
             if bit:
-                result = z if result is None else mul(result, z)
+                result = z if result is None else _diag_product(result, z)
         return result
 
     step = np.zeros(2 * kp, dtype=complex)
@@ -488,13 +493,24 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
     ``_ladder_powers``, and theta^n and bartheta^n are quantized as one stack.
     Several modes: the per-mode commutators plus vanishing cross-mode
     commutators and the factorized quantization of two-mode monomials.
+    Every ladder is one diagonal, ``_ladder_powers``' first row read at each
+    basis state's n_i, multiplied by ``_diag_product``; a quantized image is
+    compared through that one diagonal, so no dense product is built.
     """
     factorials(dfm)  # refuses k past the tables' float64 range before any matrix is built
     rep = VerificationReport(tolerance)
-    kp = dfm.kprime
+    kp, dim = dfm.kprime, dfm.kprime**modes
+    lows, highs = _ladder_powers(dfm)
+    states, place = _placement(dfm, modes)
+    low = [(o, np.concatenate([lows[1][n], np.zeros(dim)])) for o, n in zip(place, states.T)]
+    high = [(-o, np.concatenate([highs[1][n], np.zeros(dim)])) for o, n in zip(place, states.T)]
+    phases = np.array([_q_phases(dfm, -1), _q_phases(dfm, 1)])
+
+    def commutators(i):  # low@high - q high@low = q^(-n_i), then with conj(q) = q^(+n_i)
+        lh, hl = _diag_product(low[i], high[i])[1][:dim], _diag_product(high[i], low[i])[1][:dim]
+        return [np.abs(lh - hl * s - rhs[states[:, i]]).max() for s, rhs in zip((dfm.q, dfm.q.conjugate()), phases)]
+
     if modes == 1:
-        low, high = ladder(dfm), ladder_dag(dfm)
-        lows, highs = _ladder_powers(dfm)
         # theta^n, then bartheta^n, for n = 1..kp-1 as one stack, less the
         # one diagonal of low^n and high^n; theta^kp quantizes to 0
         n = np.arange(1, kp)
@@ -505,45 +521,38 @@ def verify_relations(dfm: Deformation, modes: int = 1, tolerance: float = 1e-10)
         diff[0, i, r, r + i + 1] -= lows[i + 1, r]
         diff[1, i, r + i + 1, r] -= highs[i + 1, r + i + 1]
         res = np.abs(diff).max(axis=(2, 3))
-        lh, hl = low @ high, high @ low
         rep.add("quantize(theta) matches closed-form lowering", res[0, 0])
         rep.add("quantize(bartheta) matches closed-form raising", res[1, 0])
-        rep.add("low@high - q high@low = diag(q^-n)", (lh - dfm.q * hl).residual(q_power_N(dfm, 1, -1)))
-        rep.add("low@high - conj(q) high@low = diag(q^n)",
-                (lh - dfm.q.conjugate() * hl).residual(q_power_N(dfm, 1, 1)))
+        for name, residual in zip(("q high@low = diag(q^-n)", "conj(q) high@low = diag(q^n)"), commutators(0)):
+            rep.add(f"low@high - {name}", residual)
         rep.add(f"quantize(theta^n) = low^n and barred, n = 2..{kp}",
                 np.max(res[:, 1:], initial=np.abs([lows[kp], highs[kp]]).max()))
         rep.add(f"low^{kp} = 0 exactly", np.abs(lows[kp]).max())  # no entry lies inside the matrix
-        rep.add("raising = dagger(lowering)", high.residual(low.dagger()))
+        rep.add("raising = dagger(lowering)", np.abs(highs[1, 1:kp] - lows[1, :kp - 1].conj()).max())
         return rep
 
-    lows = [ladder(dfm, modes, i) for i in range(1, modes + 1)]
-    highs = [ladder_dag(dfm, modes, i) for i in range(1, modes + 1)]
+    def image_residuals(theta, offset, *diagonals):
+        # max |Q - M| for Q the image of the monomial with exponents theta and each M = (offset, v):
+        # Q's diagonal is read out and zeroed in place, so the rest of Q is scanned once
+        image, r = quantize(ParaPoly.monomial(dfm, modes, theta, (0,) * modes)).mat, np.arange(dim - offset)
+        diag = image[r, r + offset]
+        image[r, r + offset] = 0
+        rest = np.abs(image).max()
+        return [np.maximum(rest, np.abs(diag - v[r]).max()) for v in diagonals]
+
     for i in range(1, modes + 1):
-        a, ad = lows[i - 1], highs[i - 1]
-        rep.add(
-            f"mode {i}: low@high - q high@low = diag(q^-n_{i})",
-            (a @ ad - dfm.q * (ad @ a)).residual(q_power_N(dfm, modes, -1, i)),
-        )
-        rep.add(
-            f"mode {i}: low@high - conj(q) high@low = diag(q^n_{i})",
-            (a @ ad - dfm.q.conjugate() * (ad @ a)).residual(q_power_N(dfm, modes, 1, i)),
-        )
-        rep.add(
-            f"mode {i}: quantize(theta_{i}) matches closed form",
-            quantize(ParaPoly.generator(dfm, modes, i)).residual(a),
-        )
-    for i in range(1, modes + 1):
-        for j in range(i + 1, modes + 1):
-            ai, aj = lows[i - 1], lows[j - 1]
-            di, dj = highs[i - 1], highs[j - 1]
-            rep.add(f"[low_{i}, low_{j}] = 0", (ai @ aj - aj @ ai).max_abs())
-            rep.add(f"[high_{i}, high_{j}] = 0", (di @ dj - dj @ di).max_abs())
-            rep.add(f"[low_{i}, high_{j}] = 0", (ai @ dj - dj @ ai).max_abs())
-            theta = tuple(int(mode in (i, j)) for mode in range(1, modes + 1))
-            prod = quantize(ParaPoly.monomial(dfm, modes, theta, (0,) * modes))
-            rep.add(f"quantize(theta_{i} theta_{j}) = low_{i}@low_{j}", prod.residual(ai @ aj))
-            rep.add(f"quantize(theta_{i} theta_{j}) = low_{j}@low_{i}", prod.residual(aj @ ai))
+        for name, residual in zip((f"q high@low = diag(q^-n_{i})", f"conj(q) high@low = diag(q^n_{i})"),
+                                  commutators(i - 1)):
+            rep.add(f"mode {i}: low@high - {name}", residual)
+        rep.add(f"mode {i}: quantize(theta_{i}) matches closed form",
+                image_residuals(tuple(int(mode == i) for mode in range(1, modes + 1)), *low[i - 1])[0])
+    for (i, ai, di), (j, aj, dj) in itertools.combinations(zip(range(1, modes + 1), low, high), 2):
+        for x, y, a, b in (("low", "low", ai, aj), ("high", "high", di, dj), ("low", "high", ai, dj)):
+            rep.add(f"[{x}_{i}, {y}_{j}] = 0", np.abs(_diag_product(a, b)[1] - _diag_product(b, a)[1]).max())
+        (offset, ij), ji = _diag_product(ai, aj), _diag_product(aj, ai)[1]
+        theta = tuple(int(mode in (i, j)) for mode in range(1, modes + 1))
+        for (a, b), residual in zip(((i, j), (j, i)), image_residuals(theta, offset, ij, ji)):
+            rep.add(f"quantize(theta_{i} theta_{j}) = low_{a}@low_{b}", residual)
     return rep
 
 
@@ -639,12 +648,10 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     commutator expansion of [low^n, high^m] into nested first-order
     commutators (single mode).
 
-    Every matrix here has one nonzero diagonal, so each is held as the
-    vector v[r] = M[r, r + o] of its offset o, and a product is
-    (AB)[r] = v_A[r] v_B[r + o_A].  A dense product of two such matrices
-    has one nonzero term per entry, so this gives its bits; the powers are
-    those of ``_ladder_powers``.  The closed
-    forms and both products are (n, m, r) arrays; the images of the
+    Every matrix here has one nonzero diagonal, held and multiplied as in
+    ``_diag_product``, broadcast over (n, m, r), so each product has the
+    dense product's bits; the powers are those of ``_ladder_powers``.  The
+    closed forms and both products are (n, m, r) arrays; the images of the
     monomials are one quantized stack of the kprime symbols
     theta^n sum_m bartheta^m, whose terms fall on kprime distinct
     diagonals.  Only the nested sum S(n, m) = sum_(s<n) low^s I_m
@@ -736,6 +743,9 @@ def operator_from_dict(obj: dict) -> FockOperator:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     dfm = deformation(k)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    check_size(dfm, d)  # in log2, before kprime**d is computed
     if dim != dfm.kprime**d:
         raise ValueError(f"dim {dim} does not match (k/2)^d = {dfm.kprime ** d}")
     if len(rows) != dim or any(len(r) != dim for r in rows):

@@ -169,6 +169,29 @@ def test_matrix_rescaled_single_mode_only(capsys):
     assert "single mode" in err
 
 
+@pytest.mark.parametrize("name", ["B", "Bdag"])
+@pytest.mark.parametrize("mode", [0, 2, -1])
+def test_matrix_rescaled_refuses_another_mode(capsys, name, mode):
+    # B and B' act on mode 1 only; another --mode used to print mode 1's matrix
+    code, out, err = run(capsys, "matrix", name, "--k", "4", "--mode", str(mode))
+    assert (code, out) == (2, "")
+    assert "single mode, mode 1" in err
+    assert run(capsys, "matrix", name, "--k", "4", "--mode", "1")[0] == 0
+
+
+def test_verify_resolution_of_unity_residual_is_the_dense_difference(capsys):
+    # the identity is subtracted from the diagonal in place; the residual keeps its bits
+    from pgquant import resolution_of_unity
+
+    for k, modes in ((4, 1), (16, 1), (236, 1), (8, 2), (32, 2), (8, 3)):
+        dfm = deformation(k)
+        ru = resolution_of_unity(dfm, modes)
+        dense = ru.residual(FockOperator.identity(dfm, modes))
+        code, out, _ = run(capsys, "verify", "--k", str(k), "--modes", str(modes), "--format", "json")
+        got = [r["residual"] for r in json.loads(out)["relations"] if r["name"] == "resolution of unity equals identity"]
+        assert got == [dense], (k, modes)
+
+
 def test_demo_quaternion(capsys):
     code, out, _ = run(capsys, "demo", "quaternion")
     assert code == 0

@@ -68,7 +68,8 @@ def test_the_fixed_list_covers_each_family():
     verify_ks = {int(a[2]) for a in argvs if a[0] == "verify"}
     assert verify_ks == set(range(4, 129, 2))
     verify_modes = {(int(a[2]), int(a[4])) for a in argvs if a[0] == "verify" and "--modes" in a}
-    assert verify_modes == {(k, 2) for k in range(4, 33, 2)} | {(k, 3) for k in range(4, 17, 2)}
+    assert verify_modes == ({(k, 2) for k in [*range(4, 33, 2), 48, 64]} | {(k, 3) for k in range(4, 17, 2)}
+                            | {(k, 4) for k in range(4, 9, 2)})
     for reader in ("dequantize", "lower-symbol"):
         fed = [stdin for argv, stdin in commands if argv[0] == reader]
         assert sum(isinstance(s, int) for s in fed) == 7 * 31 * 2  # named matrices, k = 4..64, two formats

@@ -1,9 +1,10 @@
-"""The single-mode ``verify`` families on the ladder-power table, against
-their forms with one dense matrix per relation, to the bit.
+"""The ``verify`` families on the ladder-power table, against their forms
+with one dense matrix per relation, to the bit.
 
 ``_ladder_powers`` holds the one nonzero diagonal of every ladder power,
 multiplied in the order of ``np.linalg.matrix_power``.
-``verify_relations`` reads it in place of dense powers, and
+``verify_relations`` reads it in place of dense powers and multiplies the
+ladders of every mode count as (offset, vector) pairs;
 ``check_kfermionic`` and ``check_ordering_products`` take all their products
 as one batched ``@``.  The oracles below are those checks written one
 ``FockOperator`` relation at a time, as they were before; the residuals must
@@ -69,6 +70,31 @@ def relations_by_dense_powers(dfm) -> list[float]:
             f = ParaPoly.monomial(dfm, 1, (0 if barred else n,), (n if barred else 0,)) if n < kp else ParaPoly.zero(dfm, 1)
             worst = max(worst, quantize(f).residual(op.power(n)))
     return res + [worst, low.power(kp).max_abs(), high.residual(low.dagger())]
+
+
+def relations_by_dense_ladders(dfm, modes) -> list[float]:
+    """The residuals of multi-mode ``verify_relations``, with every ladder a
+    dense ``FockOperator`` and every product a dense ``@``."""
+    lows = [ladder(dfm, modes, i) for i in range(1, modes + 1)]
+    highs = [ladder_dag(dfm, modes, i) for i in range(1, modes + 1)]
+    res = []
+    for i in range(1, modes + 1):
+        a, ad = lows[i - 1], highs[i - 1]
+        res.append((a @ ad - dfm.q * (ad @ a)).residual(q_power_N(dfm, modes, -1, i)))
+        res.append((a @ ad - dfm.q.conjugate() * (ad @ a)).residual(q_power_N(dfm, modes, 1, i)))
+        res.append(quantize(ParaPoly.generator(dfm, modes, i)).residual(a))
+    for i in range(1, modes + 1):
+        for j in range(i + 1, modes + 1):
+            ai, aj = lows[i - 1], lows[j - 1]
+            di, dj = highs[i - 1], highs[j - 1]
+            res.append((ai @ aj - aj @ ai).max_abs())
+            res.append((di @ dj - dj @ di).max_abs())
+            res.append((ai @ dj - dj @ ai).max_abs())
+            theta = tuple(int(mode in (i, j)) for mode in range(1, modes + 1))
+            prod = quantize(ParaPoly.monomial(dfm, modes, theta, (0,) * modes))
+            res.append(prod.residual(ai @ aj))
+            res.append(prod.residual(aj @ ai))
+    return res
 
 
 def kfermionic_by_relation(dfm) -> list[float]:
@@ -141,6 +167,41 @@ def test_stacked_families_equal_one_relation_at_a_time(k):
     assert [c.residual for c in verify_relations(dfm).checks] == relations_by_dense_powers(dfm)
     assert [c.residual for c in check_kfermionic(dfm).checks] == kfermionic_by_relation(dfm)
     assert [c.residual for c in check_ordering_products(dfm).checks] == ordering_products_by_relation(dfm)
+
+
+@pytest.mark.parametrize("k, modes", [(k, 2) for k in range(4, 17, 2)] + [(k, 3) for k in (4, 6, 8)] + [(4, 4)])
+def test_multimode_relations_equal_dense_ladder_products(k, modes):
+    dfm = deformation(k)
+    assert [c.residual for c in verify_relations(dfm, modes).checks] == relations_by_dense_ladders(dfm, modes)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_relations_take_no_dense_operator_arithmetic(monkeypatch, modes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("FockOperator arithmetic called")
+
+    for method in ("__matmul__", "__sub__", "residual", "max_abs"):
+        monkeypatch.setattr(FockOperator, method, refuse)
+    report = verify_relations(deformation(8), modes)
+    assert len(report.checks) == {1: 7, 2: 11, 3: 24}[modes] and report.all_pass
+
+
+@pytest.mark.parametrize("k, modes", [(48, 2), (16, 3)])
+def test_multimode_relations_peak_below_four_dense_matrices(k, modes):
+    # Only the quantized images are dense: one at a time, with its symbol's
+    # coefficients and its absolute values.  The dense ladder products took
+    # 7.5 and 10 matrices here.
+    dfm = deformation(k)
+    matrix_bytes = 16 * dfm.kprime ** (2 * modes)
+    verify_relations(dfm, modes)  # fill the cached tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_relations(dfm, modes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * matrix_bytes, peak / matrix_bytes
 
 
 def test_relations_and_mixed_check_take_no_matrix_power(monkeypatch):

@@ -365,6 +365,16 @@ def test_operator_from_dict_validation():
         operator_from_dict(ragged)
 
 
+@pytest.mark.parametrize("d, message", [(0, "d must be >= 1"), (-2, "d must be >= 1"),
+                                        (10**6, "complex matrix exceeds")])
+def test_operator_from_dict_refuses_a_mode_count_before_the_power(d, message):
+    # check_size compares sizes in log2 before kprime**d is computed, so a huge d is
+    # refused at once with the size message, not with Python's int-to-str digit limit
+    obj = {"k": 6, "d": d, "dim": 1, "rows": [[{"re": 1.0, "im": 0.0}]]}
+    with pytest.raises(ValueError, match=message):
+        operator_from_dict(obj)
+
+
 def test_fock_operator_shape_guard():
     dfm = deformation(4)
     with pytest.raises(ValueError):
