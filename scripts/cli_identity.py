@@ -17,11 +17,15 @@ every even k from 4 to 64; ``star`` on eight expression pairs at every
 even k from 4 to 32; ``demo quaternion``; ``verify --format json`` at
 every even k from 4 to 128, with ``--modes 2`` from 4 to 32 and at 48
 and 64, with ``--modes 3`` from 4 to 16 and with ``--modes 4`` from 4 to
-8; and ``quantize`` in all three orderings at
-k = 6, 8 and 16, on one and on two modes, and at k = 4 and 6 on three
-modes, where the canonical product reads its pair table at k = 4 and
-enumerates pairs block by block at k = 6.  Check out or ``git archive``
-the two commits to compare into directories first.
+8; ``quantize`` in all three orderings and both formats at k = 6, 8 and
+16, on one and on two modes, at k = 4 and 6 on three modes, where the
+canonical product reads its pair table at k = 4 and enumerates pairs
+block by block at k = 6, and at k = 64, 128 and 236 on one mode; and
+``dequantize``, pretty and json, of each two-mode ``quantize --format
+json`` image at k = 6 and 8.  ``lower-symbol`` runs on one mode only: on
+several modes it divides by sqrt([n]! [m]!) once per mode, and its last
+bits are not pinned.  Check out or ``git archive`` the two commits to
+compare into directories first.
 """
 
 from __future__ import annotations
@@ -108,18 +112,24 @@ def cases() -> list[tuple[list[str], str | int | None]]:
         for k in ks:
             out.append((["verify", "--k", str(k), "--modes", str(modes), "--format", "json"], None))
 
-    def quantize(k, modes):
+    def quantize(k, modes, dequantize=False):
         for text in QUANTIZE_EXPRESSIONS[modes]:
             for ordering in ("antinormal", "left", "right"):
                 for fmt in ("pretty", "json"):
                     out.append((["quantize", text, "--k", str(k), "--modes", str(modes),
                                  "--ordering", ordering, "--format", fmt], None))
+                if dequantize:  # the json image read back
+                    image = len(out) - 1
+                    for fmt in ("pretty", "json"):
+                        out.append((["dequantize", "-", "--format", fmt], image))
 
     for k in (6, 8, 16):
         for modes in (1, 2):
-            quantize(k, modes)
+            quantize(k, modes, dequantize=modes == 2 and k < 16)
     for k in (4, 6):
         quantize(k, 3)
+    for k in (64, 128, 236):
+        quantize(k, 1)
     return out
 
 

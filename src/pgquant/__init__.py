@@ -39,7 +39,6 @@ from .quantization import (
     hermiticity_residual,
     ladder,
     ladder_dag,
-    mode_table,
     number_operator,
     operator_from_dict,
     operator_to_dict,
@@ -82,7 +81,6 @@ __all__ = [
     "ladder",
     "ladder_dag",
     "lower_symbol",
-    "mode_table",
     "moyal_star",
     "multiply",
     "multiply_prescription",

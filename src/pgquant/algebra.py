@@ -484,22 +484,30 @@ def poly_to_dict(p: ParaPoly) -> dict:
     return {"k": p.dfm.k, "d": p.d, "terms": terms}
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` as an int if it is a JSON integer; a float such as 8.9 or
+    8.0, a string or a bool raises ``ValueError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def poly_from_dict(obj: dict) -> ParaPoly:
     """Inverse of ``poly_to_dict`` with validation."""
     from .qnum import deformation
 
     try:
-        k = int(obj["k"])
-        d = int(obj["d"])
+        k = _json_int(obj["k"], "k")
+        d = _json_int(obj["d"], "d")
         raw = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc
     dfm = deformation(k)
     terms: dict = {}
     for entry in raw:
         try:
-            theta = tuple(int(x) for x in entry["theta"])
-            bar = tuple(int(x) for x in entry["bar"])
+            theta = tuple(_json_int(x, "theta exponent") for x in entry["theta"])
+            bar = tuple(_json_int(x, "bar exponent") for x in entry["bar"])
             c = complex(float(entry["re"]), float(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial term {entry!r}: {exc}") from exc

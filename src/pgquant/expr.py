@@ -104,7 +104,11 @@ class _Parser:
         return tok is not None and tok.kind == "op" and tok.text in ops
 
     def parse(self) -> ParaPoly:
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:  # no depth limit of its own: whatever the interpreter's stack allows parses
+            tok = self._peek()
+            raise ExprSyntaxError("expression nested too deeply", len(self.text) if tok is None else tok.pos) from None
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)

@@ -92,3 +92,14 @@ def factorials(dfm: Deformation) -> np.ndarray:
                          f"[{dfm.kprime - 1}]! exceeds sqrt(float64 max) = 1.34e+154")
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def factorial_roots(dfm: Deformation) -> np.ndarray:
+    """S[n, m] = sqrt([n]! [m]!) for n, m = 0 .. kprime - 1: the scaling of
+    every per-mode quantization table, which a map on d modes applies one
+    mode at a time.  Cached per deformation, read-only."""
+    fac = factorials(dfm)
+    out = np.sqrt(np.multiply.outer(fac, fac))
+    out.setflags(write=False)
+    return out

@@ -7,16 +7,17 @@ row-major with ``n_1`` most significant, so ``dim = kprime**d``.
 
 Entry (n, m) of the quantization of f integrates the coherent-state
 kernel ket_n * f * weight * bra_m.  The kernel factorizes over the modes,
-so one cached single-mode table T = ``mode_table(dfm)``, the closed form
-of that kernel, gives every matrix: the term c theta^s bartheta^t sends |n>
-to |n + s - t> with amplitude c * prod_i T[s_i, t_i, n_i].  The operator
-orderings differ only by a phase q_k^e on that amplitude:
+and on each mode it has the closed form T[s, t, n] = [n+s]! / S[n, n+s-t],
+S[n, m] = sqrt([n]! [m]!) the one cached table ``factorial_roots`` of
+``pgquant.qnum``: the term c theta^s bartheta^t sends |n> to |n + s - t>
+with amplitude c * prod_i T[s_i, t_i, n_i].  The operator orderings differ
+only by a phase q_k^e on that amplitude:
 
 * antinormal -- the kernel is merged by the phase-free prescription, e = 0,
-  and T[s, t, n] = [n+s]! r_n r_(n+s-t), r = 1/sqrt([.]!), so the map is,
-  mode by mode, one GEMM of the Hankel matrix [n+s]! with the coefficients
-  read along their diagonals (``gather_contract``), or, for a symbol with
-  at most dim terms, each term placed in turn.  The GEMM sums the same
+  so the map is, mode by mode, one GEMM of the Hankel matrix [n+s]! with
+  the coefficients read along their diagonals, then scaled by 1/S
+  (``gather_contract``), or, for a symbol with at most dim terms, each term
+  placed in turn.  The GEMM sums the same
   terms in the same order for entry (n, m) of the image of conjugate(f) as
   for entry (m, n) of that of f, so on one mode that image is exactly the
   adjoint;
@@ -50,13 +51,14 @@ from .algebra import (
     _PAIRS_PER_BLOCK,
     ParaPoly,
     _draw_trials,
+    _json_int,
     _nonzero,
     check_size,
     product_phase,
     q_powers,
     weight,
 )
-from .qnum import Deformation, factorials, qnumber
+from .qnum import Deformation, factorial_roots, factorials, qnumber
 
 __all__ = [
     "Ordering",
@@ -65,7 +67,6 @@ __all__ = [
     "RelationCheck",
     "VerificationReport",
     "resolution_of_unity",
-    "mode_table",
     "gather_contract",
     "quantize",
     "ladder",
@@ -178,27 +179,6 @@ def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
     return FockOperator(dfm, modes, norm[:, None] * flipped * norm)
 
 
-@lru_cache(maxsize=None)
-def mode_table(dfm: Deformation) -> np.ndarray:
-    """Single-mode quantization table, cached per deformation (read-only).
-
-    ``T[s, t, n]`` is entry (n, n + s - t) of the antinormal quantization
-    of theta^s bartheta^t: the prescription integral of ket_n * theta^s
-    bartheta^t against weight * bra_(n+s-t), which evaluates to
-    ``[n+s]! / sqrt([n]! [n+s-t]!)``.  It is zero where ``n + s >= kprime``
-    or ``n + s < t``, the entries the kernel cannot reach.  The entries are
-    real, so the table is float64.
-    """
-    kp = dfm.kprime
-    fac = factorials(dfm)
-    s, t, n = np.ogrid[:kp, :kp, :kp]
-    top, col = n + s, n + s - t
-    reach = (top < kp) & (col >= 0)
-    table = np.where(reach, fac[top.clip(0, kp - 1)] / np.sqrt(fac[n] * fac[col.clip(0, kp - 1)]), 0.0)
-    table.setflags(write=False)
-    return table
-
-
 def _hankel_map(series: np.ndarray, before: np.ndarray | None, after: np.ndarray | None) -> tuple:
     """A map for ``gather_contract``, read-only: ``skew[i, p + kprime - 1]``,
     the flat index of entry (i, i + p) of a (kprime, kprime) axis pair, and
@@ -221,11 +201,11 @@ def _hankel_map(series: np.ndarray, before: np.ndarray | None, after: np.ndarray
 
 @lru_cache(maxsize=None)
 def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
-    """``mode_table`` as ``gather_contract`` reads it, cached: entry (n, m)
-    is r_n r_m times the sum over s of H[n, s] = [n+s]!, zero from
+    """The antinormal map as ``gather_contract`` reads it, cached: entry
+    (n, m) is 1/S[n, m] times the sum over s of H[n, s] = [n+s]!, zero from
     n + s = kprime, times coefficient (s, s + n - m)."""
     kp, fac = dfm.kprime, factorials(dfm)  # first, as it refuses a k past the factorials' range
-    return _hankel_map(np.concatenate([fac, np.zeros(kp - 1)]), None, 1.0 / np.sqrt(np.multiply.outer(fac, fac)))
+    return _hankel_map(np.concatenate([fac, np.zeros(kp - 1)]), None, 1.0 / factorial_roots(dfm))
 
 
 @lru_cache(maxsize=None)
@@ -284,8 +264,11 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     # placing a term costs about dim entries, the GEMMs about 2 d k' dim^2 a symbol
     if ordering is Ordering.ANTINORMAL and np.count_nonzero(stack) > batch * dim:
         return gather_contract(stack, *_quantize_gather(dfm)).reshape(batch, dim, dim)
-    table = mode_table(dfm).ravel()
+    fac = np.concatenate([factorials(dfm), np.zeros(kp - 1)])  # [n+s]!, zero from n + s = kprime
+    roots = np.full((kp, 3 * kp - 2), np.inf)  # S, and +inf past either edge, where [n+s]! divides to +0
+    roots[:, kp - 1:1 - kp] = factorial_roots(dfm)
     states, place = _placement(dfm, d)
+    diag = states * (3 * kp - 1) + kp - 1  # S[n, n] in roots for each state and mode
     expo, coeffs = _nonzero(stack)
     theta, bar = expo[:, 1:d + 1], expo[:, d + 1:]
     shift = expo[:, 0] * dim**2 + (theta - bar) @ place  # from entry (n, n) of matrix 0 to the term's in row n
@@ -293,8 +276,9 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     block = max(1, _PAIRS_PER_BLOCK // dim)
     for lo in range(0, len(coeffs), block):
         s, t = theta[lo:lo + block], bar[lo:lo + block]
-        # (term, state) amplitude prod_i T[s_i, t_i, n_i]
-        amp = reduce(np.multiply, (table[st[:, None] + n] for st, n in zip(((s * kp + t) * kp).T, states.T)))
+        # (term, state) amplitude prod_i T[s_i, t_i, n_i] = prod_i [n_i+s_i]! / S[n_i, n_i+s_i-t_i]
+        amp = reduce(np.multiply, (fac[si[:, None] + n] / roots.ravel()[(si - ti)[:, None] + c]
+                                   for si, ti, n, c in zip(s.T, t.T, states.T, diag.T)))
         term, row = np.nonzero(amp)
         index = row * (dim + 1) + shift[lo:lo + block][term]
         vals = coeffs[lo + term] * amp[term, row]
@@ -667,7 +651,7 @@ def check_mixed_quantization(dfm: Deformation, tolerance: float = 1e-10) -> Veri
     stack = np.zeros((kp, kp, kp), dtype=complex)
     stack[range(kp), range(kp)] = 1.0  # theta^n sum_m bartheta^m
     fac = np.concatenate([factorials(dfm), np.ones(kp)])  # the ones are read only where masked out
-    closed = np.where((r + n < kp) & (col >= 0), fac[r + n] / np.sqrt(fac[r] * fac[col]), 0.0)
+    closed = np.where((r + n < kp) & (col >= 0), fac[r + n] / factorial_roots(dfm)[r, col % kp], 0.0)
     # each residual as soon as its operands exist, so few (kp, kp, kp) arrays live at once; a
     # column past the matrix wraps onto a diagonal no monomial of that n reaches: zero
     res_direct = np.abs(_quantize_stack(dfm, stack, Ordering.ANTINORMAL)[n, r, col % kp] - closed).max()
@@ -736,11 +720,9 @@ def operator_from_dict(obj: dict) -> FockOperator:
     from .qnum import deformation
 
     try:
-        k = int(obj["k"])
-        d = int(obj["d"])
-        dim = int(obj["dim"])
+        k, d, dim = (_json_int(obj[field], field) for field in ("k", "d", "dim"))
         rows = obj["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     dfm = deformation(k)
     if d < 1:

@@ -11,12 +11,12 @@ any mode count d.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import ParaPoly, _draw_trials, phase_matrix, q_powers
-from .qnum import Deformation, deformation, factorials
+from .qnum import Deformation, deformation, factorial_roots, factorials
 from .quantization import (
     FockOperator,
     Ordering,
@@ -41,35 +41,38 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
     """Coherent-state expectation of ``op`` as a polynomial (unnormalized).
 
     The entry in row nb and column n contributes
-    q_k^e * A[nb, n] / sqrt([nb]! [n]!) * theta^n bartheta^nb, with the
-    factorials multiplied over the modes and q_k^e the phase of the
-    product bartheta^nb theta^n: e = nb^T W n for the block W[d:, :d] of
-    ``phase_matrix(d)``, which is -nb*n on one mode.  No division by the
-    coherent-state overlap is attempted: the overlap has no inverse in a
-    nilpotent algebra.
+    q_k^e * A[nb, n] / prod_i S[nb_i, n_i] * theta^n bartheta^nb, with
+    S[n, m] = sqrt([n]! [m]!) divided out one mode at a time, so no
+    product of more than two factorials is formed, and q_k^e the phase of
+    the product bartheta^nb theta^n: e = nb^T W n for the block W[d:, :d]
+    of ``phase_matrix(d)``, which is -nb*n on one mode.  No division by
+    the coherent-state overlap is attempted: the overlap has no inverse in
+    a nilpotent algebra.
     """
     dfm, d = op.dfm, op.d
     kp = dfm.kprime
-    fac = reduce(np.multiply.outer, [factorials(dfm)] * d).ravel()
     states = _placement(dfm, d)[0]
     e = states @ phase_matrix(d)[d:, :d] @ states.T
-    coeffs = q_powers(dfm)[e % kp] * op.mat / np.sqrt(np.multiply.outer(fac, fac))
-    return ParaPoly(dfm, d, coeffs.T.reshape((kp,) * 2 * d))
+    coeffs = (q_powers(dfm)[e % kp] * op.mat).reshape((kp,) * 2 * d)  # axes nb_1 .. nb_d, n_1 .. n_d
+    for i in range(d):  # S[nb_i, n_i] on axes i and d + i
+        coeffs /= factorial_roots(dfm).reshape([kp if a in (i, d + i) else 1 for a in range(2 * d)])
+    return ParaPoly(dfm, d, coeffs.reshape(kp**d, -1).T.reshape((kp,) * 2 * d))
 
 
 @lru_cache(maxsize=None)
 def _upper_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
-    """The inverse of ``mode_table`` as ``gather_contract`` reads it, cached.
-    As [m]! [k'-1-m]! = [k'-1]!, each diagonal block of T is a row scaling
-    times a triangular Hankel block of [k'-1]! e(x), e(x) = sum_(i<k') x^i /
-    [i]!.  So coefficient (s, t) sums G[s, n] = g_(n+s+1-k'), g = 1/e(x) mod
-    x^k', zero for n + s < k'-1, times entry (n, n + s - t) of the matrix
-    scaled by sqrt([n]! [n+s-t]!) / [k'-1]!."""
+    """The inverse of the antinormal map, T[s, t, n] = [n+s]! / S[n, n+s-t],
+    as ``gather_contract`` reads it, cached.  As [m]! [k'-1-m]! = [k'-1]!,
+    each diagonal block of T is a row scaling times a triangular Hankel
+    block of [k'-1]! e(x), e(x) = sum_(i<k') x^i / [i]!.  So coefficient
+    (s, t) sums G[s, n] = g_(n+s+1-k'), g = 1/e(x) mod x^k', zero for
+    n + s < k'-1, times entry (n, n + s - t) of the matrix scaled by
+    S[n, n+s-t] / [k'-1]!."""
     kp, fac = dfm.kprime, factorials(dfm)  # first, as it refuses a k past the factorials' range
     g = np.ones(kp)
     for i in range(1, kp):
         g[i] = -(g[i - 1::-1] / fac[1:i + 1]).sum()  # g_i = -sum_(j=1..i) g_(i-j) / [j]!
-    scale = np.sqrt(np.multiply.outer(fac, fac)) / fac[kp - 1]
+    scale = factorial_roots(dfm) / fac[kp - 1]
     return _hankel_map(np.concatenate([np.zeros(kp - 1), g]), scale, None)
 
 
@@ -79,7 +82,7 @@ def upper_symbol(op: FockOperator) -> ParaPoly:
     One ``gather_contract`` of the matrix as a (k',) * 2d tensor, mode by
     mode: on each mode the coefficient of theta^s bartheta^t is
     ``sum_n U[s, t, n] * A[n, n + s - t]`` with U = G times the scaling of
-    ``_upper_gather``, the closed-form inverse of ``mode_table``.
+    ``_upper_gather``, the closed-form inverse of the antinormal map.
     """
     stack = op.mat.reshape((1,) + (op.dfm.kprime,) * 2 * op.d)
     return ParaPoly(op.dfm, op.d, gather_contract(stack, *_upper_gather(op.dfm))[0])

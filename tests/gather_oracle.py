@@ -1,17 +1,37 @@
 """The symbol maps as k'^3 gathers, the oracle of the Hankel GEMM.
 
 ``gather_contract`` in ``pgquant.quantization`` applies each map as a
-Hankel matrix between two diagonal scalings.  Here the same maps are
+Hankel matrix between two diagonal scalings, and term placement reads the
+same map one mode at a time from [n+s]! and S[n, m] = sqrt([n]! [m]!),
+with no k'^3 table.  Here the maps are
 written as the tables they factor: ``mode_table`` T[s, t, n] for
 ``quantize`` and the inverse table U[s, t, n] for ``upper_symbol``, each
-read by a gather of k'^3 entries per row and one ``einsum``.  U comes from
-its own closed form, so nothing here reads the production maps.
+read by a gather of k'^3 entries per row and one ``einsum``.  T and U come
+from their own closed forms, so nothing here reads the production maps.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from pgquant import Deformation, mode_table
+from pgquant import Deformation
 from pgquant.qnum import factorials
+
+
+@lru_cache(maxsize=None)
+def mode_table(dfm: Deformation) -> np.ndarray:
+    """T[s, t, n], entry (n, n + s - t) of the antinormal quantization of
+    theta^s bartheta^t: ``[n+s]! / sqrt([n]! [n+s-t]!)``, and exactly 0
+    where ``n + s >= kprime`` or ``n + s < t``, the entries the kernel
+    cannot reach.  Cached per deformation, read-only."""
+    kp = dfm.kprime
+    fac = factorials(dfm)
+    s, t, n = np.ogrid[:kp, :kp, :kp]
+    top, col = n + s, n + s - t
+    reach = (top < kp) & (col >= 0)
+    table = np.where(reach, fac[top.clip(0, kp - 1)] / np.sqrt(fac[n] * fac[col.clip(0, kp - 1)]), 0.0)
+    table.setflags(write=False)
+    return table
 
 
 def series_g(dfm: Deformation) -> np.ndarray:

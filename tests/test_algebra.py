@@ -4,6 +4,7 @@ calculus and the sesquilinear form."""
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,20 @@ def test_poly_from_dict_validation():
         poly_from_dict(
             {"k": 4, "d": 1, "terms": [{"theta": [9], "bar": [0], "re": 1.0, "im": 0.0}]}
         )
+
+
+@pytest.mark.parametrize("key, value, name", [("k", 6.9, "k"), ("d", 1.6, "d"), ("k", True, "k"), ("d", "1", "d"),
+                                              ("theta", 1.6, "theta exponent"), ("bar", 1.0, "bar exponent"),
+                                              ("theta", False, "theta exponent")])
+def test_poly_from_dict_refuses_a_value_that_is_not_an_integer(key, value, name):
+    # a float is not truncated: 1.6 is refused, not read as 1
+    obj = poly_to_dict(ParaPoly.generator(deformation(6), 1, 1))
+    if key in ("theta", "bar"):
+        obj["terms"][0][key] = [value]
+    else:
+        obj[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        poly_from_dict(obj)
 
 
 # ---------------------------------------------------------------- guards

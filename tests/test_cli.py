@@ -268,6 +268,21 @@ def test_dequantize_nan_entry_exit_code(capsys, tmp_path):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", ["dequantize", "lower-symbol"])
+@pytest.mark.parametrize("field, value", [("k", 8.9), ("d", 1.7), ("dim", 4.5)])
+def test_matrix_readers_refuse_a_size_that_is_not_an_integer(capsys, tmp_path, command, field, value):
+    # the k = 8 matrix with one size edited: refused, not truncated to the k = 8 result
+    _, text, _ = run(capsys, "matrix", "theta", "--k", "8", "--format", "json")
+    obj = json.loads(text)
+    obj[field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be an integer, got {value}" in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--k", "8"], ["demo", "quaternion"]])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_nonpositive_trials_exit_code(capsys, command, trials):

@@ -70,13 +70,20 @@ def test_the_fixed_list_covers_each_family():
     verify_modes = {(int(a[2]), int(a[4])) for a in argvs if a[0] == "verify" and "--modes" in a}
     assert verify_modes == ({(k, 2) for k in [*range(4, 33, 2), 48, 64]} | {(k, 3) for k in range(4, 17, 2)}
                             | {(k, 4) for k in range(4, 9, 2)})
-    for reader in ("dequantize", "lower-symbol"):
+    for reader, images in (("dequantize", 2 * 3 * 3 * 2), ("lower-symbol", 0)):
         fed = [stdin for argv, stdin in commands if argv[0] == reader]
-        assert sum(isinstance(s, int) for s in fed) == 7 * 31 * 2  # named matrices, k = 4..64, two formats
+        # named matrices, k = 4..64, two formats, then two-mode quantize images at k = 6 and 8
+        assert sum(isinstance(s, int) for s in fed) == 7 * 31 * 2 + images
         assert sum(isinstance(s, str) for s in fed) == 31 * 2  # a random matrix a k
+    read_back = {tuple(commands[s][0][3:8:2]) for argv, s in commands if argv[0] == "dequantize"
+                 and isinstance(s, int) and commands[s][0][0] == "quantize"}
+    assert read_back == {(k, "2", o) for k in ("6", "8") for o in ("antinormal", "left", "right")}
+    assert all(commands[s][0][-1] == "json" for argv, s in commands if isinstance(s, int))
     assert {int(a[4]) for a in argvs if a[0] == "star"} == set(range(4, 33, 2))
     assert len({(a[1], a[2]) for a in argvs if a[0] == "star"}) >= 8
     orderings = {(a[3], a[5], a[7]) for a in argvs if a[0] == "quantize"}
     assert orderings == ({(k, m, o) for k in ("6", "8", "16") for m in ("1", "2") for o in ("antinormal", "left", "right")}
-                         | {(k, "3", o) for k in ("4", "6") for o in ("antinormal", "left", "right")})
+                         | {(k, "3", o) for k in ("4", "6") for o in ("antinormal", "left", "right")}
+                         | {(k, "1", o) for k in ("64", "128", "236") for o in ("antinormal", "left", "right")})
+    assert sum(a[0] == "quantize" and a[3] in ("64", "128", "236") for a in argvs) == 54
     assert sum(a[0] == "demo" for a in argvs) == 2

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,24 @@ def test_cli_refuses_a_power_past_the_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"exceeds the largest power {MAX_POWER}" in captured.err
+
+
+@pytest.mark.parametrize("text", ["(" * 200 + "th" + ")" * 200, "-" * 3000 + "th"])
+def test_cli_refuses_nesting_deeper_than_the_stack(capsys, text):
+    # a RecursionError becomes a syntax error at the token being read: exit 2, not
+    # a traceback with exit 1, the status of a failed verification
+    assert main(["quantize", "--k", "4", "--", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expression nested too deeply (at offset " in captured.err
+
+
+def test_deep_nesting_within_the_stack_still_parses(tmp_path):
+    # from a fresh interpreter, as a command line runs it: no depth limit of the parser's own
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    for text in ("(" * 190 + "th" + ")" * 190, "-" * 600 + "th"):
+        proc = subprocess.run([sys.executable, "-m", "pgquant", "quantize", "--k", "4", "--format", "json", "--", text],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count('"re": 1.0') == 1  # th, or - applied an even number of times

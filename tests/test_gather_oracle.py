@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from gather_oracle import gather_contract as oracle_contract
-from gather_oracle import quantize_gather, upper_gather
+from gather_oracle import mode_table, quantize_gather, upper_gather
 from pgquant import FockOperator, deformation, quantize, random_poly, upper_symbol
-from pgquant.quantization import _quantize_gather, gather_contract
+from pgquant.quantization import Ordering, _quantize_gather, _quantize_stack, gather_contract
 from pgquant.symbols import _upper_gather
 
 EPS = np.finfo(float).eps
@@ -63,3 +63,26 @@ def test_quantize_map_is_cached_read_only_and_quadratic():
     for table in tables:
         assert table.size <= kp * (2 * kp - 1)  # no k'^3 table
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("k, sample", [(8, None), (32, None), (236, 200)])
+def test_placed_monomials_equal_the_oracle_table(k, sample):
+    # a monomial has one term, so a stack of them is placed term by term from
+    # [n+s]! and sqrt([n]! [m]!): entry (n, n + s - t) of the image of
+    # theta^s bartheta^t is T[s, t, n] bit for bit, and every other entry is +0
+    dfm = deformation(k)
+    kp, table = dfm.kprime, mode_table(dfm)
+    picks = np.arange(kp * kp) if sample is None else np.random.default_rng(k).choice(kp * kp, sample, replace=False)
+    n = np.arange(kp)
+    for lo in range(0, len(picks), 50):  # 50 symbols a stack: 11 MB in and 11 MB out at k = 236
+        s, t = np.divmod(picks[lo:lo + 50], kp)
+        stack = np.zeros((len(s), kp, kp), dtype=complex)
+        stack[np.arange(len(s)), s, t] = 1.0
+        images = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)
+        col = n + (s - t)[:, None]
+        term, row = np.nonzero((col >= 0) & (col < kp))
+        want = np.zeros(images.shape)
+        want[term, row, col[term, row]] = table[s[term], t[term], row]
+        assert (images.real == want).all()
+        assert not images.imag.any()
+        assert not np.signbit(images.real).any() and not np.signbit(images.imag).any()

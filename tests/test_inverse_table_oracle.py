@@ -12,7 +12,8 @@ rebuilds U from those two.  Here the q-factorials and g are recomputed with
 mpmath at 80 digits.  The rebuilt float64 table must match that reference
 to 1e-13 of its largest entry, must be exactly zero off its support, and,
 in exact arithmetic, the formula must invert every diagonal block of T
-(``mode_table``, from its own closed form).  The round-trip tests pin what a table with rounding noise off its
+(the closed form of ``gather_oracle.mode_table``, rebuilt here).  The
+round-trip tests pin what a table with rounding noise off its
 support breaks: that noise multiplies matrix entries up to [k'-1]!.
 """
 

@@ -396,6 +396,15 @@ def test_hermiticity_residual_rejects_nonpositive_trials(trials):
         hermiticity_residual(deformation(6), trials=trials)
 
 
+@pytest.mark.parametrize("field, value", [("k", 8.9), ("d", 1.7), ("dim", 4.5), ("k", 8.0), ("d", True),
+                                          ("dim", "4")])
+def test_operator_from_dict_refuses_a_size_that_is_not_an_integer(field, value):
+    obj = operator_to_dict(ladder(deformation(8)))
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        operator_from_dict(obj)
+
+
 def test_operator_from_dict_rejects_non_finite_entries():
     obj = operator_to_dict(ladder(deformation(4)))
     obj["rows"][0][0] = {"re": float("nan"), "im": 0.0}

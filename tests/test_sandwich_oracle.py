@@ -21,7 +21,6 @@ from pgquant import (
     berezin_full_integral,
     berezin_prescription_product,
     deformation,
-    mode_table,
     multiply,
     multiply_prescription,
     quantize,
@@ -31,6 +30,7 @@ from pgquant import (
 )
 
 from coherent_pairing import coherent_bra, coherent_ket
+from gather_oracle import mode_table
 
 GATE = 1e-12
 
@@ -114,14 +114,6 @@ def test_mode_table_matches_sandwich_entries(k):
         row = multiply_prescription(ket[n], ParaPoly.monomial(dfm, 1, (s,), (t,)))
         entry = berezin_prescription_product(row, cols[m])
         assert abs(table[s, t, n] - entry) <= 1e-14 * max(abs(entry), 1.0), (s, t, n)
-
-
-def test_mode_table_is_cached_and_read_only():
-    dfm = deformation(10)
-    table = mode_table(dfm)
-    assert mode_table(dfm) is table
-    with pytest.raises(ValueError):
-        table[0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize("k, modes, terms", [(6, 2, 9), (4, 3, 8), (8, 2, 16), (8, 2, 30)])

@@ -5,8 +5,8 @@ Matrix entries on the diagonal col - row = p are reached only by the
 monomials theta^(j+a) bartheta^(j+b) with a - b = p, so the coefficient map
 restricted to one diagonal is a square triangular system; it is solved from
 its outermost row inward, one row at a time, with entries and pivots read
-from ``mode_table``.  The Hankel map of ``upper_symbol``, the closed-form
-inverse of the table, must reproduce it.
+from the oracle ``gather_oracle.mode_table``.  The Hankel map of
+``upper_symbol``, the closed-form inverse of the table, must reproduce it.
 
 Coefficients are compared in table units: a coefficient difference times
 the largest table entry it multiplies, which is its size in the matrix.
@@ -19,7 +19,8 @@ checked up to k = 48.
 import numpy as np
 import pytest
 
-from pgquant import FockOperator, deformation, mode_table, quantize, random_poly, upper_symbol
+from gather_oracle import mode_table
+from pgquant import FockOperator, deformation, quantize, random_poly, upper_symbol
 
 GATE = 1e-12
 

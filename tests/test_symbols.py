@@ -3,6 +3,7 @@ the transported star product and the quaternion demo."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ def test_lower_symbol_matches_pairing_on_several_modes(k, d):
     direct = lower_symbol(op)
     assert direct.d == d
     assert direct.distance(lower_symbol_by_pairing(op)) <= 1e-13
+
+
+def test_lower_symbol_keeps_every_coefficient_where_the_factorial_product_overflows():
+    # at (k, d) = (144, 2) a product of the four factorials [nb_1]! [nb_2]! [n_1]! [n_2]!
+    # passes the float64 maximum; divided one mode at a time, by sqrt([nb_i]! [n_i]!),
+    # every nonzero entry of the ladder stays a finite nonzero coefficient
+    op = ladder(deformation(144), 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        symbol = lower_symbol(op)
+    assert np.count_nonzero(symbol.coeffs) == np.count_nonzero(op.mat) == 5112
 
 
 # ---------------------------------------------------------------- quaternions
