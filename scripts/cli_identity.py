@@ -21,11 +21,9 @@ and 64, with ``--modes 3`` from 4 to 16 and with ``--modes 4`` from 4 to
 16, on one and on two modes, at k = 4 and 6 on three modes, where the
 canonical product reads its pair table at k = 4 and enumerates pairs
 block by block at k = 6, and at k = 64, 128 and 236 on one mode; and
-``dequantize``, pretty and json, of each two-mode ``quantize --format
-json`` image at k = 6 and 8.  ``lower-symbol`` runs on one mode only: on
-several modes it divides by sqrt([n]! [m]!) once per mode, and its last
-bits are not pinned.  Check out or ``git archive`` the two commits to
-compare into directories first.
+``dequantize`` and ``lower-symbol``, pretty and json, of each two-mode
+``quantize --format json`` image at k = 6 and 8.  Check out or ``git
+archive`` the two commits to compare into directories first.
 """
 
 from __future__ import annotations
@@ -112,20 +110,18 @@ def cases() -> list[tuple[list[str], str | int | None]]:
         for k in ks:
             out.append((["verify", "--k", str(k), "--modes", str(modes), "--format", "json"], None))
 
-    def quantize(k, modes, dequantize=False):
+    def quantize(k, modes, readback=False):
         for text in QUANTIZE_EXPRESSIONS[modes]:
             for ordering in ("antinormal", "left", "right"):
                 for fmt in ("pretty", "json"):
                     out.append((["quantize", text, "--k", str(k), "--modes", str(modes),
                                  "--ordering", ordering, "--format", fmt], None))
-                if dequantize:  # the json image read back
-                    image = len(out) - 1
-                    for fmt in ("pretty", "json"):
-                        out.append((["dequantize", "-", "--format", fmt], image))
+                if readback:  # the json image read back
+                    readers(len(out) - 1)
 
     for k in (6, 8, 16):
         for modes in (1, 2):
-            quantize(k, modes, dequantize=modes == 2 and k < 16)
+            quantize(k, modes, readback=modes == 2 and k < 16)
     for k in (4, 6):
         quantize(k, 3)
     for k in (64, 128, 236):

@@ -492,6 +492,17 @@ def _json_int(value, field: str) -> int:
     return int(value)
 
 
+def _json_number(value, field: str) -> float:
+    """``value`` as a float if it is a JSON number; a string, a bool, a null or
+    an integer past the float64 range raises ``ValueError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is past the float64 range") from None
+
+
 def poly_from_dict(obj: dict) -> ParaPoly:
     """Inverse of ``poly_to_dict`` with validation."""
     from .qnum import deformation
@@ -508,7 +519,7 @@ def poly_from_dict(obj: dict) -> ParaPoly:
         try:
             theta = tuple(_json_int(x, "theta exponent") for x in entry["theta"])
             bar = tuple(_json_int(x, "bar exponent") for x in entry["bar"])
-            c = complex(float(entry["re"]), float(entry["im"]))
+            c = complex(_json_number(entry["re"], "re"), _json_number(entry["im"], "im"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial term {entry!r}: {exc}") from exc
         terms[(theta, bar)] = terms.get((theta, bar), 0.0) + c

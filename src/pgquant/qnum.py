@@ -82,11 +82,12 @@ def qfactorial(n: int, dfm: Deformation) -> float:
 
 @lru_cache(maxsize=None)
 def factorials(dfm: Deformation) -> np.ndarray:
-    """``[n]!`` for n = 0 .. kprime - 1, each from ``qfactorial``.  Cached
-    per deformation, read-only.  Every closed-form table reads products
-    [n]! [m]!, which overflow float64 once [k'-1]! > sqrt(float max): from
-    k = 240 on, where [119]! = 3.3e154.  Such a k raises ``ValueError``."""
-    out = np.array([qfactorial(n, dfm) for n in range(dfm.kprime)])
+    """``[n]!`` for n = 0 .. kprime - 1, one running product in ``qfactorial``'s
+    order.  Cached per deformation, read-only.  Every closed-form table reads
+    products [n]! [m]!, which overflow float64 once [k'-1]! > sqrt(float max):
+    from k = 240 on, where [119]! = 3.3e154.  Such a k raises ``ValueError``."""
+    with np.errstate(over="ignore"):  # an overflow is refused below, with the range
+        out = np.cumprod([1.0] + [qnumber(j, dfm) for j in range(1, dfm.kprime)])
     if not out[-1] <= math.sqrt(sys.float_info.max):  # also an inf or a NaN
         raise ValueError(f"k={dfm.k} is past the float64 range of the q-factorial tables (k <= 238): "
                          f"[{dfm.kprime - 1}]! exceeds sqrt(float64 max) = 1.34e+154")

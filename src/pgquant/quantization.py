@@ -52,6 +52,7 @@ from .algebra import (
     ParaPoly,
     _draw_trials,
     _json_int,
+    _json_number,
     _nonzero,
     check_size,
     product_phase,
@@ -94,7 +95,7 @@ class Ordering(enum.Enum):
 
 def basis_tuples(dfm: Deformation, modes: int = 1) -> list[tuple[int, ...]]:
     """Occupation tuples in basis order (row-major, first mode most significant)."""
-    return list(itertools.product(range(dfm.kprime), repeat=modes))
+    return list(map(tuple, _placement(dfm, modes)[0].tolist()))
 
 
 class FockOperator:
@@ -174,7 +175,7 @@ def resolution_of_unity(dfm: Deformation, modes: int = 1) -> FockOperator:
     (rather than asserting) lets the caller measure the residual.
     """
     dim = dfm.kprime**modes
-    norm = 1.0 / np.sqrt(reduce(np.multiply.outer, [factorials(dfm)] * modes).ravel())
+    norm = 1.0 / np.sqrt(reduce(np.multiply, factorials(dfm)[_placement(dfm, modes)[0].T]))
     flipped = weight(dfm, modes).coeffs.reshape(dim, dim)[::-1, ::-1]
     return FockOperator(dfm, modes, norm[:, None] * flipped * norm)
 
@@ -210,9 +211,9 @@ def _quantize_gather(dfm: Deformation) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _placement(dfm: Deformation, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis states as a (dim, d) array in ``basis_tuples`` order, and
-    the place value kprime^(d-1-i) of mode i in a basis index: what term
-    placement in ``quantize`` reads.  Cached per (dfm, d), read-only."""
+    """The basis states as a (dim, d) array, row-major with the first mode
+    most significant, and the place value kprime^(d-1-i) of mode i in a basis
+    index: the one basis table every d-mode map reads.  Cached, read-only."""
     kp = dfm.kprime
     states = np.indices((kp,) * d).reshape(d, -1).T
     place = kp ** np.arange(d - 1, -1, -1)
@@ -264,11 +265,8 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     # placing a term costs about dim entries, the GEMMs about 2 d k' dim^2 a symbol
     if ordering is Ordering.ANTINORMAL and np.count_nonzero(stack) > batch * dim:
         return gather_contract(stack, *_quantize_gather(dfm)).reshape(batch, dim, dim)
-    fac = np.concatenate([factorials(dfm), np.zeros(kp - 1)])  # [n+s]!, zero from n + s = kprime
-    roots = np.full((kp, 3 * kp - 2), np.inf)  # S, and +inf past either edge, where [n+s]! divides to +0
-    roots[:, kp - 1:1 - kp] = factorial_roots(dfm)
+    fac, roots = factorials(dfm), factorial_roots(dfm)
     states, place = _placement(dfm, d)
-    diag = states * (3 * kp - 1) + kp - 1  # S[n, n] in roots for each state and mode
     expo, coeffs = _nonzero(stack)
     theta, bar = expo[:, 1:d + 1], expo[:, d + 1:]
     shift = expo[:, 0] * dim**2 + (theta - bar) @ place  # from entry (n, n) of matrix 0 to the term's in row n
@@ -276,16 +274,15 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
     block = max(1, _PAIRS_PER_BLOCK // dim)
     for lo in range(0, len(coeffs), block):
         s, t = theta[lo:lo + block], bar[lo:lo + block]
-        # (term, state) amplitude prod_i T[s_i, t_i, n_i] = prod_i [n_i+s_i]! / S[n_i, n_i+s_i-t_i]
-        amp = reduce(np.multiply, (fac[si[:, None] + n] / roots.ravel()[(si - ti)[:, None] + c]
-                                   for si, ti, n, c in zip(s.T, t.T, states.T, diag.T)))
-        term, row = np.nonzero(amp)
+        top = states + s[:, None]  # n_i + s_i of each (term, state) pair on each mode
+        term, row = np.nonzero(((top < kp) & (top >= t[:, None])).all(-1))  # the pairs the kernel reaches
+        n, s, t = states[row], s[term], t[term]
+        # amplitude prod_i T[s_i, t_i, n_i] = prod_i [n_i+s_i]! / S[n_i, n_i+s_i-t_i], at least 1
+        amp = reduce(np.multiply, (fac[a + b] / roots[a, a + b - c] for a, b, c in zip(n.T, s.T, t.T)))
         index = row * (dim + 1) + shift[lo:lo + block][term]
-        vals = coeffs[lo + term] * amp[term, row]
+        vals = coeffs[lo + term] * amp
         if ordering is not Ordering.ANTINORMAL:
-            n, s, t = states[row], s[term], t[term]
-            none = np.zeros_like(n)
-            ket, sym, bra = np.hstack([n, none]), np.hstack([s, t]), np.hstack([none, n + s - t])
+            ket, sym, bra = np.hstack([n, 0 * n]), np.hstack([s, t]), np.hstack([0 * n, n + s - t])
             w = np.tile(kp - 1 - n - s, 2)
             words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
             e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
@@ -313,15 +310,14 @@ def quantize(f: ParaPoly, ordering: Ordering | str = Ordering.ANTINORMAL) -> Foc
 
 def _mode_operator(dfm: Deformation, modes: int, mode: int, band, offset: int = 0) -> FockOperator:
     """Kronecker embedding 1 (x) F (x) 1 of the single-mode factor F that holds
-    ``band[n]`` at (n, n + offset), acting on the given mode.  Every nonzero
-    entry is a copy of a ``band`` value, so no entry is a product with zero
-    and every zero is +0."""
+    ``band[n]`` at (n, n + offset), acting on the given mode, read off the
+    basis states.  Every nonzero entry is a copy of a ``band`` value, so no
+    entry is a product with zero and every zero is +0."""
     if not 1 <= mode <= modes:
         raise ValueError(f"mode {mode} out of range 1..{modes}")
-    kp = dfm.kprime
-    inner = kp ** (modes - mode)
-    diag = np.tile(np.repeat(np.asarray(band, dtype=complex), inner), kp ** (mode - 1))
-    return FockOperator(dfm, modes, np.diag(diag[: diag.size - offset * inner], offset * inner))
+    states, place = _placement(dfm, modes)
+    diag, step = np.asarray(band, dtype=complex)[states[:, mode - 1]], offset * place[mode - 1]
+    return FockOperator(dfm, modes, np.diag(diag[: diag.size - step], step))
 
 
 def ladder(dfm: Deformation, modes: int = 1, mode: int = 1) -> FockOperator:
@@ -733,7 +729,7 @@ def operator_from_dict(obj: dict) -> FockOperator:
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("rows do not form a dim x dim matrix")
     try:
-        mat = [[complex(float(v["re"]), float(v["im"])) for v in row] for row in rows]
+        mat = [[complex(_json_number(v["re"], "re"), _json_number(v["im"], "im")) for v in row] for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     mat = np.asarray(mat, dtype=complex)

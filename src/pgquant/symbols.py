@@ -52,11 +52,12 @@ def lower_symbol(op: FockOperator) -> ParaPoly:
     dfm, d = op.dfm, op.d
     kp = dfm.kprime
     states = _placement(dfm, d)[0]
-    e = states @ phase_matrix(d)[d:, :d] @ states.T
-    coeffs = (q_powers(dfm)[e % kp] * op.mat).reshape((kp,) * 2 * d)  # axes nb_1 .. nb_d, n_1 .. n_d
+    coeffs = q_powers(dfm)[states @ phase_matrix(d)[d:, :d] @ states.T % kp]  # q_k^e
+    coeffs *= op.mat  # in place from here, so the constructor's copy is the one other dim x dim array
+    coeffs = coeffs.reshape((kp,) * 2 * d)  # axes nb_1 .. nb_d, n_1 .. n_d
     for i in range(d):  # S[nb_i, n_i] on axes i and d + i
         coeffs /= factorial_roots(dfm).reshape([kp if a in (i, d + i) else 1 for a in range(2 * d)])
-    return ParaPoly(dfm, d, coeffs.reshape(kp**d, -1).T.reshape((kp,) * 2 * d))
+    return ParaPoly(dfm, d, coeffs.transpose(*range(d, 2 * d), *range(d)))
 
 
 @lru_cache(maxsize=None)

@@ -352,6 +352,16 @@ def test_poly_from_dict_refuses_a_value_that_is_not_an_integer(key, value, name)
         poly_from_dict(obj)
 
 
+@pytest.mark.parametrize("key, value", [("re", "2.5"), ("im", True), ("re", None), ("im", [1.0]), ("re", 10**400)],
+                         ids=["string", "bool", "null", "list", "huge-int"])
+def test_poly_from_dict_refuses_a_coefficient_that_is_not_a_json_number(key, value):
+    # a string is not parsed and a bool is not read as 1.0
+    obj = poly_to_dict(ParaPoly.generator(deformation(6), 1, 1))
+    obj["terms"][0][key] = value
+    with pytest.raises(ValueError, match=f"{key} (must be a number|is past the float64 range)"):
+        poly_from_dict(obj)
+
+
 # ---------------------------------------------------------------- guards
 
 

@@ -283,6 +283,24 @@ def test_matrix_readers_refuse_a_size_that_is_not_an_integer(capsys, tmp_path, c
     assert f"{field} must be an integer, got {value}" in err
 
 
+@pytest.mark.parametrize("command", ["dequantize", "lower-symbol"])
+@pytest.mark.parametrize("field, value, message", [("re", "2.5", "re must be a number, got '2.5'"),
+                                                   ("im", True, "im must be a number, got True"),
+                                                   ("re", 10**400, "re is past the float64 range")],
+                         ids=["string", "bool", "huge-int"])
+def test_matrix_readers_refuse_an_entry_that_is_not_a_json_number(capsys, tmp_path, command, field, value, message):
+    # the k = 8 matrix with one entry edited: refused, not read as 2.5, 1.0 or a traceback
+    _, text, _ = run(capsys, "matrix", "theta", "--k", "8", "--format", "json")
+    obj = json.loads(text)
+    obj["rows"][1][2][field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--k", "8"], ["demo", "quaternion"]])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_nonpositive_trials_exit_code(capsys, command, trials):

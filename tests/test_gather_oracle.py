@@ -13,6 +13,9 @@ f have the same nonzero terms in the same order, and so do those of the
 upper symbols of a matrix and of its adjoint.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -65,24 +68,59 @@ def test_quantize_map_is_cached_read_only_and_quadratic():
         assert not table.flags.writeable
 
 
-@pytest.mark.parametrize("k, sample", [(8, None), (32, None), (236, 200)])
-def test_placed_monomials_equal_the_oracle_table(k, sample):
-    # a monomial has one term, so a stack of them is placed term by term from
-    # [n+s]! and sqrt([n]! [m]!): entry (n, n + s - t) of the image of
-    # theta^s bartheta^t is T[s, t, n] bit for bit, and every other entry is +0
+MONOMIALS = [(8, 1, None), (32, 1, None), (236, 1, 200), (8, 2, None), (24, 2, 120), (6, 3, None), (8, 3, 120)]
+MONOMIAL_IDS = [f"{k}-{sample}" + (f"-d{d}" if d > 1 else "") for k, d, sample in MONOMIALS]
+
+
+def placed_monomials(k, d, sample, ordering):
+    """Stacks of at most 50 monomials theta^s bartheta^t on d modes, every one
+    or a seeded ``sample``, with their images under ``ordering``; per stack
+    also (term, row, col, amp): the entries (row, col) of the image of term
+    theta^s bartheta^t that lie in the matrix, col = row + s - t on every
+    mode, and there the mode-order product of the oracle's T[s_i, t_i, n_i],
+    n the row's state: zero where the kernel does not reach."""
     dfm = deformation(k)
-    kp, table = dfm.kprime, mode_table(dfm)
-    picks = np.arange(kp * kp) if sample is None else np.random.default_rng(k).choice(kp * kp, sample, replace=False)
-    n = np.arange(kp)
+    kp, table, shape = dfm.kprime, mode_table(dfm), (dfm.kprime,) * (2 * d)
+    states = np.array(list(itertools.product(range(kp), repeat=d)))  # first mode most significant
+    count = kp ** (2 * d)
+    picks = np.arange(count) if sample is None else np.random.default_rng([k, d]).choice(count, sample, replace=False)
     for lo in range(0, len(picks), 50):  # 50 symbols a stack: 11 MB in and 11 MB out at k = 236
-        s, t = np.divmod(picks[lo:lo + 50], kp)
-        stack = np.zeros((len(s), kp, kp), dtype=complex)
-        stack[np.arange(len(s)), s, t] = 1.0
-        images = _quantize_stack(dfm, stack, Ordering.ANTINORMAL)
-        col = n + (s - t)[:, None]
-        term, row = np.nonzero((col >= 0) & (col < kp))
+        expo = np.stack(np.unravel_index(picks[lo:lo + 50], shape), axis=1)
+        stack = np.zeros((len(expo),) + shape, dtype=complex)
+        stack[(np.arange(len(expo)), *expo.T)] = 1.0
+        s, t = expo[:, None, :d], expo[:, None, d:]
+        col = states + s - t
+        term, row = np.nonzero(((col >= 0) & (col < kp)).all(-1))
+        n, s, t = states[row], s[term, 0], t[term, 0]
+        amp = reduce(np.multiply, [table[s[:, i], t[:, i], n[:, i]] for i in range(d)])
+        col = np.ravel_multi_index(col[term, row].T, (kp,) * d)
+        yield _quantize_stack(dfm, stack, ordering), (term, row, col, amp)
+
+
+@pytest.mark.parametrize("k, d, sample", MONOMIALS, ids=MONOMIAL_IDS)
+def test_placed_monomials_equal_the_oracle_table(k, d, sample):
+    # a monomial has one term, so a stack of them is placed term by term from
+    # [n+s]! and sqrt([n]! [m]!) at the pairs the kernel reaches: entry (n, n +
+    # s - t) of the image of theta^s bartheta^t is the mode-order product of
+    # T[s_i, t_i, n_i] bit for bit, and every other entry is +0
+    for images, (term, row, col, amp) in placed_monomials(k, d, sample, Ordering.ANTINORMAL):
         want = np.zeros(images.shape)
-        want[term, row, col[term, row]] = table[s[term], t[term], row]
+        want[term, row, col] = amp
         assert (images.real == want).all()
         assert not images.imag.any()
         assert not np.signbit(images.real).any() and not np.signbit(images.imag).any()
+
+
+@pytest.mark.parametrize("ordering", [Ordering.LEFT, Ordering.RIGHT])
+@pytest.mark.parametrize("k, d, sample", MONOMIALS, ids=MONOMIAL_IDS)
+def test_left_and_right_images_are_nonzero_exactly_where_the_kernel_reaches(k, d, sample, ordering):
+    # the phase q_k^e has modulus 1, so the image of a one-term symbol is
+    # nonzero exactly where the oracle's amplitude is, its modulus that
+    # amplitude to a few eps, and +0 everywhere else
+    for images, (term, row, col, amp) in placed_monomials(k, d, sample, ordering):
+        reach = np.zeros(images.shape, dtype=bool)
+        reach[term, row, col] = amp != 0
+        assert ((images != 0) == reach).all()
+        assert np.abs(np.abs(images[term, row, col]) - amp).max(initial=0) <= 4 * EPS * amp.max(initial=0)
+        outside = images[~reach]
+        assert not np.signbit(outside.real).any() and not np.signbit(outside.imag).any()

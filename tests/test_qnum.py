@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pgquant import deformation, qfactorial, qnumber
+from pgquant.qnum import factorials
 
 # hand-computed from sin(2*pi*n/k) / sin(2*pi/k)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -88,3 +89,10 @@ def test_qfactorial_recurrence(k_half):
         assert qfactorial(n, dfm) == pytest.approx(
             qfactorial(n - 1, dfm) * qnumber(n, dfm), rel=1e-12, abs=1e-12
         )
+
+
+def test_factorials_are_qfactorial_bit_for_bit():
+    # one running product of [1] .. [k'-1], in qfactorial's order, so the same bits
+    for k in range(4, 240, 2):
+        dfm = deformation(k)
+        assert factorials(dfm).tolist() == [qfactorial(n, dfm) for n in range(dfm.kprime)], k

@@ -2,6 +2,7 @@
 ladder closed forms and the relation checkers."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -412,6 +413,15 @@ def test_operator_from_dict_rejects_non_finite_entries():
         operator_from_dict(obj)
 
 
+@pytest.mark.parametrize("key, value", [("re", "2.5"), ("im", True), ("im", None), ("re", {}), ("im", -(10**400))],
+                         ids=["string", "bool", "null", "object", "huge-int"])
+def test_operator_from_dict_refuses_an_entry_that_is_not_a_json_number(key, value):
+    obj = operator_to_dict(ladder(deformation(8)))
+    obj["rows"][0][1][key] = value
+    with pytest.raises(ValueError, match=f"^malformed matrix entry: {key} (must be a number|is past the float64 range)"):
+        operator_from_dict(obj)
+
+
 @pytest.mark.parametrize("k, modes, terms", [(8, 1, 1), (8, 1, 4), (32, 1, 16), (6, 2, 9), (8, 2, 16), (4, 3, 8)])
 def test_antinormal_term_placement_matches_gather(k, modes, terms):
     # a symbol with at most dim terms is placed term by term; a denser one
@@ -437,7 +447,7 @@ def test_placement_tables_are_cached_and_read_only():
     dfm = deformation(6)
     states, place = _placement(dfm, 3)
     assert _placement(dfm, 3)[0] is states
-    assert states.tolist() == [list(ns) for ns in basis_tuples(dfm, 3)]
+    assert states.tolist() == [list(ns) for ns in itertools.product(range(3), repeat=3)]
     assert place.tolist() == [9, 3, 1]
     for table in (states, place):
         with pytest.raises(ValueError):

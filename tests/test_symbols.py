@@ -3,6 +3,7 @@ the transported star product and the quaternion demo."""
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,23 @@ def test_lower_symbol_keeps_every_coefficient_where_the_factorial_product_overfl
         warnings.simplefilter("error")
         symbol = lower_symbol(op)
     assert np.count_nonzero(symbol.coeffs) == np.count_nonzero(op.mat) == 5112
+
+
+@pytest.mark.parametrize("make", [ladder, ladder_dag])
+def test_lower_symbol_holds_about_two_matrices_at_its_peak(make):
+    # the phase exponent is reduced in place and dropped before the scaling,
+    # the scaling is in place, and the symbol is the constructor's copy of a
+    # transposed view: 2.06 matrices at the peak, where the temporaries
+    # reached 2.56 and, on the transposed ladder_dag, 3.52
+    op = make(deformation(32), 2, 2)
+    lower_symbol(op)  # the cached tables, outside the traced call
+    tracemalloc.start()
+    try:
+        lower_symbol(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * op.mat.nbytes
 
 
 # ---------------------------------------------------------------- quaternions
