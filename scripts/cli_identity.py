@@ -20,10 +20,17 @@ and 64, with ``--modes 3`` from 4 to 16 and with ``--modes 4`` from 4 to
 8; ``quantize`` in all three orderings and both formats at k = 6, 8 and
 16, on one and on two modes, at k = 4 and 6 on three modes, where the
 canonical product reads its pair table at k = 4 and enumerates pairs
-block by block at k = 6, and at k = 64, 128 and 236 on one mode; and
+block by block at k = 6, and at k = 64, 128 and 236 on one mode;
 ``dequantize`` and ``lower-symbol``, pretty and json, of each two-mode
-``quantize --format json`` image at k = 6 and 8.  Check out or ``git
-archive`` the two commits to compare into directories first.
+``quantize --format json`` image at k = 6 and 8; at k = 32 and 64 on two
+modes, the large outputs: ``quantize`` of one expression and ``matrix
+bartheta --mode 2`` (a transposed array), both formats, and
+``dequantize`` and ``lower-symbol``, both formats, of their json; and
+``verify --k 16 --tolerance 0 --format json``, a report whose relations
+fail.  Outputs are compared by their sha256, so a tree's subprocess holds
+a whole output only while a later command of the list still reads it.
+Check out or ``git archive`` the two commits to compare into directories
+first.
 """
 
 from __future__ import annotations
@@ -54,22 +61,30 @@ QUANTIZE_EXPRESSIONS = {
     2: ("th1*bth2 + 2", "(1 + th1 + bth2)^3", "bth1*th2 - i*th1*bth1"),
     3: ("th1*bth3 + 2", "(1 + th2 + bth3)^3", "bth1*th3 - i*th2*bth2*th1"),
 }
+LARGE_EXPRESSION = "(1 + th1 + bth2)^3"
 
-# run in each tree: read [argv, stdin] pairs, answer [stdout, exit status] pairs
+# run in each tree: read [argv, stdin] pairs, answer [sha256 of stdout, exit
+# status] pairs; an output is kept whole only while a later command reads it
 RUNNER = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from pgquant.cli import main
-cases, results = json.load(sys.stdin), []
-for argv, stdin in cases:
-    sys.stdin = io.StringIO(results[stdin][0] if isinstance(stdin, int) else stdin or "")
+cases, results, kept = json.load(sys.stdin), [], {}
+last_read = {stdin: i for i, (_, stdin) in enumerate(cases) if isinstance(stdin, int)}
+for i, (argv, stdin) in enumerate(cases):
+    sys.stdin = io.StringIO(kept[stdin] if isinstance(stdin, int) else stdin or "")
+    if last_read.get(stdin) == i:
+        del kept[stdin]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except Exception as exc:
             code = "raised " + repr(exc)
-    results.append([out.getvalue(), code])
+    if i in last_read:
+        kept[i] = out.getvalue()
+    results.append([hashlib.sha256(out.getvalue().encode()).hexdigest(), code])
+    del out
 sys.__stdout__.write(json.dumps(results))
 """
 
@@ -126,11 +141,19 @@ def cases() -> list[tuple[list[str], str | int | None]]:
         quantize(k, 3)
     for k in (64, 128, 236):
         quantize(k, 1)
+    for k in ("32", "64"):  # 256 and 1024 square, each json image read back
+        for argv in (["quantize", LARGE_EXPRESSION, "--k", k, "--modes", "2", "--ordering", "antinormal"],
+                     ["matrix", "bartheta", "--k", k, "--modes", "2", "--mode", "2"]):
+            for fmt in ("pretty", "json"):
+                out.append((argv + ["--format", fmt], None))
+            readers(len(out) - 1)
+    out.append((["verify", "--k", "16", "--tolerance", "0", "--format", "json"], None))  # failing relations
     return out
 
 
 def run_tree(tree: Path, commands: list) -> list:
-    """[stdout, exit status] of every command, run in one subprocess of ``tree``."""
+    """[sha256 of stdout, exit status] of every command, run in one subprocess
+    of ``tree``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src")], input=json.dumps(commands),
                           cwd=tree, env=env, capture_output=True, text=True)

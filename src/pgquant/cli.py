@@ -24,9 +24,12 @@ import math
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import expr as expr_mod
-from .algebra import ParaPoly, check_size, poly_to_dict
+from .algebra import ParaPoly, _nonzero, check_size
 from .qnum import deformation, factorials
 from .quantization import (
     FockOperator,
@@ -38,7 +41,6 @@ from .quantization import (
     ladder_dag,
     number_operator,
     operator_from_dict,
-    operator_to_dict,
     q_power_N,
     quantize,
     rescale_B,
@@ -68,34 +70,118 @@ _MATRICES = {
 MATRIX_NAMES = tuple(_MATRICES)
 
 
-def _fmt_entry(z: complex) -> str:
-    return f"{z.real:.10g}{z.imag:+.10g}i"
+# The JSON writers print exactly ``json.dumps(obj, indent=2, sort_keys=True)``
+# and a newline for the dicts of ``VerificationReport.to_dict``,
+# ``operator_to_dict`` and ``poly_to_dict``, without building them: with an
+# indent, ``json.dumps`` runs its pure-Python encoder over every value.  Each
+# value is spelled as json spells it, strings through its C escaper, and the
+# operator and polynomial are written a block of rows or terms at a time.
+# Every writer ends on a short write of its own, as ``print`` does: when
+# stdout is unbuffered (PYTHONUNBUFFERED), a large write that a closing
+# pipe cuts short reports nothing, and only the write after it raises
+# ``BrokenPipeError``.
+_ENTRIES_PER_WRITE = 1 << 16
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RELATION = '    {\n      "name": %s,\n      "pass": %s,\n      "residual": %s\n    }'
+_CELL = "{:.10g}{:+.10g}i".format  # one pretty matrix entry
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _json_floats(values: list[float]) -> list[str]:
+    """json's spelling of each float: its repr, or NaN, Infinity, -Infinity."""
+    text = list(map(float.__repr__, values))
+    return list(map(_NON_FINITE.get, text, text))
+
+
+def _json_items(prefixes: list[str], columns: list[list[str]]) -> list[str]:
+    """Item i as prefixes[0], columns[0][i], prefixes[1], columns[1][i], ...,
+    for every item in turn: the pieces of a text to join."""
+    width, count = 2 * len(prefixes), len(columns[0])
+    pieces = [""] * (width * count)
+    for j, (prefix, column) in enumerate(zip(prefixes, columns)):
+        pieces[2 * j::width] = [prefix] * count
+        pieces[2 * j + 1::width] = column
+    return pieces
+
+
+def _write_report(report) -> None:
+    relations = ",\n".join(_RELATION % (encode_basestring_ascii(c.name), "true" if c.passed else "false",
+                                        _json_floats([c.residual])[0]) for c in report.checks)
+    relations = f"[\n{relations}\n  ]" if relations else "[]"
+    sys.stdout.write(f'{{\n  "relations": {relations},\n  "tolerance": {_json_floats([report.tolerance])[0]}\n}}')
+    sys.stdout.write("\n")
+
+
+def _write_operator(op: FockOperator) -> None:
+    dim, write = op.dim, sys.stdout.write
+    write(f'{{\n  "d": {op.d},\n  "dim": {dim},\n  "k": {op.dfm.k},\n  "rows": [')
+    step = max(1, _ENTRIES_PER_WRITE // dim)
+    for lo in range(0, dim, step):
+        block = op.mat[lo:lo + step]
+        pieces = _json_items(['\n      },\n      {\n        "im": ', ',\n        "re": '],
+                             [_json_floats(block.imag.ravel().tolist()), _json_floats(block.real.ravel().tolist())])
+        pieces[::4 * dim] = ['\n      }\n    ],\n    [\n      {\n        "im": '] * len(block)  # a row's first entry
+        if lo == 0:
+            pieces[0] = '\n    [\n      {\n        "im": '
+        write("".join(pieces))
+    write("\n      }\n    ]\n  ]\n}\n")
+
+
+def _write_poly(p: ParaPoly) -> None:
+    d, write = p.d, sys.stdout.write
+    write(f'{{\n  "d": {d},\n  "k": {p.dfm.k},\n  "terms": [')
+    rows, vals = _nonzero(p.coeffs)
+    if not len(vals):
+        write("]\n}\n")
+        return
+    nxt = ",\n        "
+    prefixes = (['\n      ]\n    },\n    {\n      "bar": [\n        '] + [nxt] * (d - 1) + ['\n      ],\n      "im": ',
+                ',\n      "re": ', ',\n      "theta": [\n        '] + [nxt] * (d - 1))
+    step = max(1, _ENTRIES_PER_WRITE // (2 * d + 2))
+    for lo in range(0, len(vals), step):
+        exponents = [list(map(str, column)) for column in rows[lo:lo + step].T.tolist()]
+        block = vals[lo:lo + step]
+        pieces = _json_items(prefixes, exponents[d:] + [_json_floats(block.imag.tolist()),
+                                                        _json_floats(block.real.tolist())] + exponents[:d])
+        if lo == 0:
+            pieces[0] = '\n    {\n      "bar": [\n        '
+        write("".join(pieces))
+    write("\n      ]\n    }\n  ]\n}\n")
+
+
+def _write_pretty(op: FockOperator) -> None:
+    """Each entry as ``_CELL`` spells it, right-aligned to the widest.  An
+    entry of +0 in both parts, most of a sparse operator, is spelled once.
+    Until the width is known, a row is kept as one string, its cells joined
+    by a newline, which no cell holds."""
+    step, rows, zero = max(1, _ENTRIES_PER_WRITE // op.dim), [], _CELL(0.0, 0.0)
+    width = len(zero)
+    for lo in range(0, op.dim, step):
+        block = op.mat[lo:lo + step]
+        re, im = block.real, block.imag
+        at = np.nonzero((re != 0) | (im != 0) | np.signbit(re) | np.signbit(im))
+        cells = np.full(block.shape, zero, dtype=object)
+        cells[at] = shown = list(map(_CELL, re[at].tolist(), im[at].tolist()))
+        width = max([width, *map(len, shown)])
+        rows += map("\n".join, cells.tolist())
+    for lo in range(0, op.dim, step):
+        sys.stdout.write("\n".join(["  ".join([c.rjust(width) for c in row.split("\n")]) for row in rows[lo:lo + step]]))
+        sys.stdout.write("\n")
 
 
 def _emit_poly(p: ParaPoly, fmt: str) -> None:
     if fmt == "json":
-        _emit_json(poly_to_dict(p))
+        _write_poly(p)
     else:
         print(expr_mod.poly_to_expr(p))
 
 
 def _emit_operator(op: FockOperator, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(operator_to_dict(op))
-        return
-    cells = [[_fmt_entry(z) for z in row] for row in op.mat]
-    width = max(len(c) for row in cells for c in row)
-    for row in cells:
-        print("  ".join(c.rjust(width) for c in row))
+    (_write_operator if fmt == "json" else _write_pretty)(op)
 
 
 def _emit_report(report, fmt: str) -> int:
     if fmt == "json":
-        _emit_json(report.to_dict())
+        _write_report(report)
     else:
         for line in report.pretty_lines():
             print(line)

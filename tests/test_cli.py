@@ -493,3 +493,15 @@ def test_closed_pipe_exits_141_quietly():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+def test_closed_pipe_exits_141_quietly_on_pretty_output():
+    """The pretty twin of the test above: the matrix is written a block of
+    rows at a time, and a closed pipe still ends it with 141 and no error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "pgquant", "quantize", "th1", "--k", "32", "--modes", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().endswith(b"0+0i\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
