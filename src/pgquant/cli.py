@@ -26,8 +26,6 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import expr as expr_mod
 from .algebra import ParaPoly, _nonzero, check_size
 from .qnum import deformation, factorials
@@ -83,7 +81,7 @@ MATRIX_NAMES = tuple(_MATRICES)
 _ENTRIES_PER_WRITE = 1 << 16
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _RELATION = '    {\n      "name": %s,\n      "pass": %s,\n      "residual": %s\n    }'
-_CELL = "{:.10g}{:+.10g}i".format  # one pretty matrix entry
+_CELL = "%.10g%+.10gi".__mod__  # one pretty matrix entry, from its (re, im)
 
 
 def _json_floats(values: list[float]) -> list[str]:
@@ -149,22 +147,11 @@ def _write_poly(p: ParaPoly) -> None:
 
 
 def _write_pretty(op: FockOperator) -> None:
-    """Each entry as ``_CELL`` spells it, right-aligned to the widest.  An
-    entry of +0 in both parts, most of a sparse operator, is spelled once.
-    Until the width is known, a row is kept as one string, its cells joined
-    by a newline, which no cell holds."""
-    step, rows, zero = max(1, _ENTRIES_PER_WRITE // op.dim), [], _CELL(0.0, 0.0)
-    width = len(zero)
-    for lo in range(0, op.dim, step):
-        block = op.mat[lo:lo + step]
-        re, im = block.real, block.imag
-        at = np.nonzero((re != 0) | (im != 0) | np.signbit(re) | np.signbit(im))
-        cells = np.full(block.shape, zero, dtype=object)
-        cells[at] = shown = list(map(_CELL, re[at].tolist(), im[at].tolist()))
-        width = max([width, *map(len, shown)])
-        rows += map("\n".join, cells.tolist())
-    for lo in range(0, op.dim, step):
-        sys.stdout.write("\n".join(["  ".join([c.rjust(width) for c in row.split("\n")]) for row in rows[lo:lo + step]]))
+    """Each entry as ``_CELL`` spells it, right-aligned to the widest."""
+    rows = [list(map(_CELL, zip(row.real.tolist(), row.imag.tolist()))) for row in op.mat]
+    width = max([max(map(len, row)) for row in rows])
+    for row in rows:
+        sys.stdout.write("  ".join([c.rjust(width) for c in row]))
         sys.stdout.write("\n")
 
 

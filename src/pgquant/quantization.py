@@ -23,9 +23,8 @@ only by a phase q_k^e on that amplitude:
   adjoint;
 * left / right -- the kernel is the algebra product of the words ket_n, f,
   w, bra_m (left) or ket_n, w, f, bra_m (right), with w the weight monomial
-  completing the top degree; e sums a^T W b, W = ``phase_matrix`` of
-  ``pgquant.algebra``, over all ordered pairs (a, b) of words, which is one
-  cached integer quadratic form in (n, s, t, 1), ``_phase_form``.
+  completing the top degree; e sums ``product_phase`` of
+  ``pgquant.algebra`` over all ordered pairs of words.
 
 Both act on a stack of B symbols at once, and ``quantize`` is that map on
 a stack of one, so a family of monomials or a chunk of random trials costs
@@ -56,7 +55,7 @@ from .algebra import (
     _json_number,
     _nonzero,
     check_size,
-    phase_matrix,
+    product_phase,
     q_powers,
     weight,
 )
@@ -258,26 +257,6 @@ def gather_contract(x: np.ndarray, skew: np.ndarray, unskew: np.ndarray, matrix:
     return np.ascontiguousarray(out)
 
 
-@lru_cache(maxsize=None)
-def _phase_form(kprime: int, d: int, ordering: Ordering) -> np.ndarray:
-    """The integer matrix Q, (3d + 1) square, of the phase exponent e = z^T Q z
-    of the left or right ordering at z = (n, s, t, 1): the sum of a^T W b,
-    W = ``phase_matrix(d)``, over the ordered pairs (a, b) of the words ket
-    (n, 0), term (s, t), weight (k'-1-n-s)(1, 1) and bra (0, n+s-t), each
-    the map A z of z, so Q sums A_a^T W A_b.  Exact integers, so e mod
-    kprime is that of the words.  Cached, read-only."""
-    one, zero = np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64)
-    const, none = np.full((d, 1), kprime - 1), np.zeros((d, 1), dtype=np.int64)
-    ket = np.block([[one, zero, zero, none], [zero, zero, zero, none]])
-    term = np.block([[zero, one, zero, none], [zero, zero, one, none]])
-    w = np.block([[-one, -one, zero, const], [-one, -one, zero, const]])
-    bra = np.block([[zero, zero, zero, none], [one, one, -one, none]])
-    words = [ket, term, w, bra] if ordering is Ordering.LEFT else [ket, w, term, bra]
-    form = sum(sum(words[:j]).T @ phase_matrix(d) @ words[j] for j in range(1, 4))
-    form.setflags(write=False)
-    return form
-
-
 def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> np.ndarray:
     """The matrices, shape (B, dim, dim), of a stack of B coefficient tensors
     on the same modes; see ``quantize``.  The stack is placed term by term
@@ -305,8 +284,11 @@ def _quantize_stack(dfm: Deformation, stack: np.ndarray, ordering: Ordering) -> 
         index = row * (dim + 1) + shift[lo:lo + block][term]
         vals = coeffs[lo + term] * amp
         if ordering is not Ordering.ANTINORMAL:
-            z = np.hstack([n, s, t, np.ones((len(n), 1), dtype=n.dtype)])
-            vals *= q_powers(dfm)[((z @ _phase_form(kp, d, ordering)) * z).sum(-1) % kp]
+            ket, sym, bra = np.hstack([n, 0 * n]), np.hstack([s, t]), np.hstack([0 * n, n + s - t])
+            w = np.tile(kp - 1 - n - s, 2)
+            words = [ket, sym, w, bra] if ordering is Ordering.LEFT else [ket, w, sym, bra]
+            e = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
+            vals *= q_powers(dfm)[e % kp]
         np.add.at(flat, index, vals)  # from +0, so no entry ends as -0
     return flat.reshape(batch, dim, dim)
 

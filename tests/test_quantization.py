@@ -487,32 +487,6 @@ def test_mode_counts_below_one_are_refused(modes):
             build(deformation(6), modes)
 
 
-@pytest.mark.parametrize("k, modes", [(4, 1), (8, 1), (16, 1), (6, 2), (8, 2), (4, 3), (6, 3)])
-@pytest.mark.parametrize("ordering", [Ordering.LEFT, Ordering.RIGHT])
-def test_phase_form_is_the_four_word_sum(k, modes, ordering):
-    # the literal phase: product_phase summed over the ordered pairs of the
-    # words ket (n, 0), term (s, t), weight (k'-1-n-s)(1, 1) and bra (0, n+s-t),
-    # over every (n, s, t) the kernel reaches, as exact integers
-    from pgquant.algebra import product_phase
-    from pgquant.quantization import _phase_form
-
-    kp = k // 2
-    n, s, t = np.indices((kp,) * (3 * modes)).reshape(3, modes, -1).transpose(0, 2, 1)
-    reach = ((n + s < kp) & (n + s >= t)).all(-1)
-    n, s, t = n[reach], s[reach], t[reach]
-    ket, term, bra, w = np.hstack([n, 0 * n]), np.hstack([s, t]), np.hstack([0 * n, n + s - t]), np.tile(kp - 1 - n - s, 2)
-    words = [ket, term, w, bra] if ordering is Ordering.LEFT else [ket, w, term, bra]
-    literal = sum(product_phase(sum(words[:j]), words[j]) for j in range(1, 4))
-    z = np.hstack([n, s, t, np.ones((len(n), 1), dtype=int)])
-    form = _phase_form(kp, modes, ordering)
-    assert form.shape == (3 * modes + 1,) * 2 and not form.flags.writeable
-    assert _phase_form(kp, modes, ordering) is form
-    assert np.array_equal(((z @ form) * z).sum(-1), literal)
-    if modes == 1:  # t(n+s+1) on the left, s(n+s+1) on the right, mod k'
-        closed = (t if ordering is Ordering.LEFT else s)[:, 0] * (n + s + 1)[:, 0]
-        assert np.array_equal(literal % kp, closed % kp)
-
-
 def test_operator_from_dict_reads_the_entries_bit_for_bit():
     # floats, ints, -0.0 and subnormals, as complex(float(re), float(im)) reads each
     values = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, 3, -(2**63) - 1, 2**64 + 1, 7]
